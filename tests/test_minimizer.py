@@ -4,17 +4,28 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from todalab.bubbles import BubbleParams, standard_bubble
 from todalab.cartan import cartan_su
 from todalab.functional import MultiField, v_from_u
-from todalab.grid import GridSpec, ScalarField, log_integral_exp, random_smooth_field
+from todalab.grid import (
+    GridSpec,
+    ScalarField,
+    _periodic_dist_sq,
+    disk_mass,
+    log_integral_exp,
+    random_smooth_field,
+)
 from todalab.minimizer import (
     REGION_CSV_HEADER,
     ConcentrationSpot,
     MinimizeConfig,
     MinimizeReport,
     NonFiniteEnergyError,
+    _concentration_from_density,
+    _disk_masses,
     classify_boundedness,
     detect_concentration,
     minimize,
@@ -56,6 +67,23 @@ def brute_disk_cell_count(n, radius):
             if di * di + dj * dj <= radius * radius:
                 count += 1
     return count
+
+
+def roll_loop_masses(density, spec, radius):
+    """Reference disk masses: one np.roll of the density per disk offset."""
+    offsets = np.argwhere(_periodic_dist_sq(spec, (0.0, 0.0)) <= radius * radius)
+    masses = np.zeros_like(density)
+    for di, dj in offsets:
+        masses += np.roll(density, (-int(di), -int(dj)), axis=(0, 1))
+    return masses * spec.h**2
+
+
+def lexicographic_peak(masses):
+    """Center of the heaviest disk, ties within 1e-12 to the first cell."""
+    tied = masses >= masses.max() * (1.0 - 1e-12)
+    ci, cj = np.argwhere(tied)[0]
+    n = masses.shape[0]
+    return (ci / n, cj / n)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +295,47 @@ def test_two_bumps_report_the_heavier_center():
     assert spots[0].center == (0.75, 0.75)
 
 
-def test_equal_bumps_tie_break_lexicographically():
-    spec = GridSpec(64)
-    yy, xx = np.meshgrid(np.arange(64) / 64.0, np.arange(64) / 64.0, indexing="ij")
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_equal_bumps_tie_break_lexicographically(n):
+    spec = GridSpec(n)
+    yy, xx = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
     dx = np.minimum(np.abs(xx - 0.25), 1.0 - np.abs(xx - 0.25))
     dy = np.minimum(np.abs(yy - 0.25), 1.0 - np.abs(yy - 0.25))
     one = 40.0 * np.exp(-(dx * dx + dy * dy) / 0.04**2)
     # the twin bump is an exact half-period translate, so the two disk
-    # sums agree bit for bit and only the tie-break separates them
-    density = 0.1 + one + np.roll(one, (32, 32), axis=(0, 1))
+    # sums agree up to transform roundoff, far inside the 1e-12 tie
+    # band, and only the tie-break separates them
+    density = 0.1 + one + np.roll(one, (n // 2, n // 2), axis=(0, 1))
     field = normalized_from_density(spec, density)
     spots = detect_concentration(MultiField((field,)), radius=0.1)
     assert spots[0].center == (0.25, 0.25)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("radius", ["h", 0.05, 0.25, 0.5])
+@given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 6.0))
+def test_fft_disk_masses_match_roll_loop_and_disk_mass(n, radius, seed, spread):
+    # radius 0.5 is the wrap-around edge; spread runs the densities from
+    # flat to spiky, each normalized to unit mass so every disk mass is <= 1
+    spec = GridSpec(n)
+    radius = spec.h if radius == "h" else radius
+    rng = np.random.default_rng(seed)
+    density = np.exp(spread * rng.standard_normal((2, n, n)))
+    density /= density.sum(axis=(1, 2), keepdims=True) * spec.h**2
+    masses = _disk_masses(density, spec, radius)
+    spots = _concentration_from_density(density, spec, radius)
+    for comp, fft_masses, spot in zip(density, masses, spots):
+        field = ScalarField(spec, comp)
+        brute = np.array(
+            [[disk_mass(field, (i * spec.h, j * spec.h), radius) for j in range(n)]
+             for i in range(n)]
+        )
+        reference = roll_loop_masses(comp, spec, radius)
+        # float64 transform roundoff on masses <= 1 stays far below 1e-13
+        assert np.max(np.abs(fft_masses - reference)) < 1e-13
+        assert np.max(np.abs(fft_masses - brute)) < 1e-13
+        assert spot.mass == float(fft_masses.max())
+        assert spot.center == lexicographic_peak(reference)
 
 
 def test_detection_requires_normalized_input():
