@@ -7,18 +7,19 @@ outside; component two is minus half of component one.  As the scale
 grows the eight tracked quantities (three gradient pairings, two means,
 two exponential masses, and the energy) grow linearly in log(scale),
 and the energy slope changes sign exactly at coupling 4 pi, which makes
-the family a certified descent direction above the threshold.
+the family a certified descent direction above the threshold.  Every
+radial integrand has an elementary antiderivative, so the quantities
+and the Liouville mass are closed forms; no quadrature runs here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .cartan import cartan_su, _check_couplings
+from .cartan import _check_couplings
 from .functional import MultiField
 from .grid import GridSpec, ScalarField, _periodic_dist_sq
 
@@ -28,7 +29,6 @@ __all__ = [
     "SlopeFitReport",
     "QUANTITY_KEYS",
     "standard_bubble",
-    "bubble_radial_parts",
     "bubble_quantities",
     "asymptotic_slope_table",
     "fit_slopes",
@@ -67,28 +67,6 @@ class BubbleParams:
             raise ValueError("flat_radius must lie in (0, 0.5]")
 
 
-def _profile_u1(scale: float, flat_radius: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Radial first component; constant beyond flat_radius keeps it continuous."""
-    a = scale**2 * np.pi
-
-    def u1(r):
-        r_eff = np.minimum(r, flat_radius)
-        return 2.0 * np.log(scale) - 2.0 * np.log1p(a * r_eff**2)
-
-    return u1
-
-
-def _profile_du1(scale: float, flat_radius: float) -> Callable[[float], float]:
-    a = scale**2 * np.pi
-
-    def du1(r):
-        if r >= flat_radius:
-            return 0.0
-        return -4.0 * a * r / (1.0 + a * r**2)
-
-    return du1
-
-
 def standard_bubble(
     params: BubbleParams, spec: GridSpec, allow_unresolved: bool = False
 ) -> MultiField:
@@ -101,74 +79,60 @@ def standard_bubble(
         raise ValueError(
             "grid too coarse for this scale; refine or pass allow_unresolved"
         )
-    u1_of_r = _profile_u1(params.scale, params.flat_radius)
-    r = np.sqrt(_periodic_dist_sq(spec, params.center))
-    u1 = u1_of_r(r)
+    # constant beyond flat_radius, which keeps the profile continuous
+    r_eff = np.minimum(np.sqrt(_periodic_dist_sq(spec, params.center)), params.flat_radius)
+    u1 = 2.0 * np.log(params.scale) - 2.0 * np.log1p(params.scale**2 * np.pi * r_eff**2)
     return MultiField(
         (ScalarField(spec, u1), ScalarField(spec, -0.5 * u1))
     )
 
 
-def bubble_radial_parts(scale: float, flat_radius: float = 0.25):
-    """Radial value/derivative callables (u1, du1) of the first component."""
-    return _profile_u1(scale, flat_radius), _profile_du1(scale, flat_radius)
-
-
-def _split_quad(fn, upper: float, core: float) -> float:
-    """Adaptive quadrature on [0, upper] split at the core width."""
-    pieces = []
-    cut = min(core, upper)
-    pieces.append(quad(fn, 0.0, cut, epsabs=1e-13, epsrel=1e-12, limit=200))
-    if cut < upper:
-        pieces.append(quad(fn, cut, upper, epsabs=1e-13, epsrel=1e-12, limit=200))
-    return float(sum(val for val, _ in pieces))
-
-
 def bubble_quantities(
     scale: float, m: Sequence[float], flat_radius: float = 0.25
 ) -> dict[str, float]:
-    """The eight tracked quantities at one scale, by radial quadrature.
+    """The eight tracked quantities at one scale, in closed form.
 
-    Outside the truncation disk every integrand is constant, so the
-    quadrature runs over [0, flat_radius] and the complement contributes
-    boundary values times the leftover area 1 - pi flat_radius^2.
+    With a = scale^2 pi, d = flat_radius and s = a d^2, the radial
+    integrals over the truncation disk are
+
+        int |grad u1|^2  = 16 pi (log(1+s) - s/(1+s)),
+        int u1           = 2 log(scale) pi d^2 - (2 pi/a)((1+s) log(1+s) - s),
+        int e^{u1}       = s/(1+s),
+        int e^{-u1/2}    = (pi/scale)(d^2 + a d^4/2),
+
+    and outside the disk every integrand is its boundary value times the
+    leftover area 1 - pi d^2.  The second component is -u1/2, so its
+    pairings are fixed multiples of the first.
     """
     mv = _check_couplings(m, 2)
     if scale < 2.0:
-        raise ValueError("scale must be at least 2 for quadrature")
-    delta = flat_radius
-    if not 0 < delta <= 0.5:
+        raise ValueError("scale must be at least 2")
+    d = flat_radius
+    if not 0 < d <= 0.5:
         raise ValueError("flat_radius must lie in (0, 0.5]")
-    u1, du1 = bubble_radial_parts(scale, delta)
-    core = 1.0 / (scale * np.sqrt(np.pi))
-    outer_area = 1.0 - np.pi * delta**2
-    u1_edge = float(u1(np.array(delta)))
+    a = scale**2 * np.pi
+    s = a * d**2
+    log_scale = float(np.log(scale))
+    log1p_s = float(np.log1p(s))
+    outer_area = 1.0 - np.pi * d**2
+    u1_edge = 2.0 * log_scale - 2.0 * log1p_s
 
-    def ring(f):
-        return lambda r: f(r) * 2.0 * np.pi * r
-
-    grad1_sq = _split_quad(ring(lambda r: du1(r) ** 2), delta, core)
-    grad2_sq = _split_quad(ring(lambda r: (0.5 * du1(r)) ** 2), delta, core)
-    grad_cross = _split_quad(ring(lambda r: -0.5 * du1(r) ** 2), delta, core)
-
-    int_u1 = _split_quad(ring(lambda r: u1(np.array(r))), delta, core)
-    int_u1 += u1_edge * outer_area
-    int_u2 = -0.5 * int_u1
-
-    mass_u1 = _split_quad(ring(lambda r: np.exp(u1(np.array(r)))), delta, core)
-    mass_u1 += np.exp(u1_edge) * outer_area
-    mass_u2 = _split_quad(ring(lambda r: np.exp(-0.5 * u1(np.array(r)))), delta, core)
-    mass_u2 += np.exp(-0.5 * u1_edge) * outer_area
-
-    inv = cartan_su(2).inverse_entries
-    pair = np.array(
-        [[grad1_sq, grad_cross], [grad_cross, grad2_sq]]
+    # written without 1/(1+s) - 1, which cancels as s -> 0
+    grad1_sq = 16.0 * np.pi * (log1p_s - s / (1.0 + s))
+    int_u1 = (
+        2.0 * log_scale * np.pi * d**2
+        - (2.0 * np.pi / a) * ((1.0 + s) * log1p_s - s)
+        + u1_edge * outer_area
     )
-    quadratic = 0.5 * float(np.sum(inv * pair))
-    log_mass_u1 = float(np.log(mass_u1))
-    log_mass_u2 = float(np.log(mass_u2))
-    total = (
-        quadratic
+    int_u2 = -0.5 * int_u1
+    log_mass_u1 = float(np.log(s / (1.0 + s) + np.exp(u1_edge) * outer_area))
+    log_mass_u2 = float(
+        np.log((np.pi / scale) * (d**2 + a * d**4 / 2.0) + np.exp(-0.5 * u1_edge) * outer_area)
+    )
+    # the u-form quadratic part (1/2) sum_ij Kinv_ij <grad u_i, grad u_j>
+    # collapses to grad1_sq / 4 for the pair (u1, -u1/2)
+    energy = (
+        grad1_sq / 4.0
         + mv[0] * int_u1
         + mv[1] * int_u2
         - mv[0] * log_mass_u1
@@ -176,13 +140,13 @@ def bubble_quantities(
     )
     return {
         "grad1_sq": grad1_sq,
-        "grad2_sq": grad2_sq,
-        "grad_cross": grad_cross,
+        "grad2_sq": grad1_sq / 4.0,
+        "grad_cross": -grad1_sq / 2.0,
         "int_u1": int_u1,
         "int_u2": int_u2,
         "log_mass_u1": log_mass_u1,
         "log_mass_u2": log_mass_u2,
-        "energy": total,
+        "energy": float(energy),
     }
 
 
@@ -313,14 +277,5 @@ def liouville_pde_residual(r):
 
 
 def liouville_mass(r_max: float = 1e4) -> float:
-    """Total mass of exp(phi) out to r_max; the tail beyond is O(1/r_max^2)."""
-    val, _ = quad(
-        lambda r: 2.0 * np.pi * r * np.exp(liouville_value(r)),
-        0.0,
-        r_max,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=400,
-        points=[1.0],
-    )
-    return float(val)
+    """Total mass of exp(phi) out to r_max, 1 - 1/(1 + pi r_max^2)."""
+    return float(1.0 - 1.0 / (1.0 + np.pi * r_max**2))

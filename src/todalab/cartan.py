@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "CartanMatrix",
     "cartan_su",
+    "resolve_cartan",
     "subset_margin",
     "lower_bound_condition",
     "margin_condition",
@@ -59,6 +60,15 @@ def cartan_su(rank: int) -> CartanMatrix:
     hi = np.maximum.outer(idx, idx)
     inv = lo * (rank + 1 - hi) / (rank + 1)
     return CartanMatrix(rank, a, inv)
+
+
+def resolve_cartan(rank: int, cartan: CartanMatrix | None) -> CartanMatrix:
+    """The given coupling matrix, checked against rank, or cartan_su(rank)."""
+    if cartan is None:
+        return cartan_su(rank)
+    if cartan.rank != rank:
+        raise ValueError("coupling matrix rank does not match component count")
+    return cartan
 
 
 def _check_couplings(m: Sequence[float], rank: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .bubbles import QUANTITY_KEYS, asymptotic_slope_table, fit_slopes
 from .cartan import CartanMatrix, cartan_su
 from .grid import GridSpec
@@ -415,15 +416,16 @@ def _run_bubble(config: RunConfig) -> int:
         flat_radius=config.values["flat_radius"],
     )
     expected = asymptotic_slope_table(config.couplings)
-    path = os.path.join(config.out, "slopes.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("quantity,fitted_slope,expected_slope,intercept,max_residual\n")
-        for key in QUANTITY_KEYS:
-            fit = report.fits[key]
-            handle.write(
-                f"{key},{fit.slope:.12g},{expected[key]:.12g},"
-                f"{fit.intercept:.12g},{fit.max_residual:.12g}\n"
-            )
+    fits = report.fits
+    write_csv(
+        os.path.join(config.out, "slopes.csv"),
+        "quantity,fitted_slope,expected_slope,intercept,max_residual",
+        (
+            f"{key},{fits[key].slope:.12g},{expected[key]:.12g},"
+            f"{fits[key].intercept:.12g},{fits[key].max_residual:.12g}"
+            for key in QUANTITY_KEYS
+        ),
+    )
     return 0
 
 
@@ -585,19 +587,16 @@ def emit_identity_suite(
 
 
 def write_identity_csv(rows: Sequence[IdentityRow], destination) -> None:
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    handle = open(destination, "w", encoding="utf-8") if own else destination
-    try:
-        handle.write(IDENTITY_CSV_HEADER + "\n")
-        for row in rows:
-            handle.write(
-                f"{row.identity},{row.parameter},{row.measured:.12g},"
-                f"{row.expected:.12g},{row.residual:.12g},{row.bound:.12g},"
-                f"{row.status}\n"
-            )
-    finally:
-        if own:
-            handle.close()
+    write_csv(
+        destination,
+        IDENTITY_CSV_HEADER,
+        (
+            f"{row.identity},{row.parameter},{row.measured:.12g},"
+            f"{row.expected:.12g},{row.residual:.12g},{row.bound:.12g},"
+            f"{row.status}"
+            for row in rows
+        ),
+    )
 
 
 def _run_identities(config: RunConfig) -> int:

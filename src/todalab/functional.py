@@ -14,25 +14,34 @@ L2 gradient of E in v has components
     g_k = sum_j a_kj ( -lap v_j + m_j (1 - rho_j) ),
 
 with rho_j the normalized density exp(u_j) / int(exp(u_j)).
+
+`energy`, `energy_gradient` and the descent in the minimizer run one
+kernel, `evaluate`, built on the grid's spectral core.  Since E is
+invariant under adding a constant to any component, the kernel
+evaluates the zero-mean representative of v; its linear part is then
+zero up to roundoff.  `energy_u` keeps the u-form as an independent
+formula for the same number.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cartan import CartanMatrix, cartan_su, _check_couplings
+from .cartan import CartanMatrix, _check_couplings, resolve_cartan
 from .grid import (
     GridSpec,
     ScalarField,
+    _apply_symbol,
+    _centered,
+    _inverse_neg_laplacian,
+    _log_integral_exp,
+    _neg_laplacian,
+    _neglap_symbol,
     dirichlet_pairing,
     integral,
-    inverse_laplacian,
-    laplacian,
-    log_integral_exp,
 )
 
 __all__ = [
@@ -43,6 +52,8 @@ __all__ = [
     "energy",
     "energy_u",
     "energy_gradient",
+    "evaluate",
+    "raw_gradient",
     "precondition_gradient",
     "normalize_components",
     "euler_lagrange_residuals",
@@ -90,14 +101,6 @@ class MultiField:
         return cls(tuple(ScalarField(spec, z) for _ in range(n_components)))
 
 
-def _matching_cartan(f: MultiField, cartan: CartanMatrix | None) -> CartanMatrix:
-    if cartan is None:
-        return cartan_su(f.n_components)
-    if cartan.rank != f.n_components:
-        raise ValueError("coupling matrix rank does not match component count")
-    return cartan
-
-
 def _linear_combination(f: MultiField, matrix: np.ndarray) -> MultiField:
     vals = np.tensordot(matrix, f.stack(), axes=(1, 0))
     return MultiField.from_array(f.spec, vals)
@@ -105,13 +108,13 @@ def _linear_combination(f: MultiField, matrix: np.ndarray) -> MultiField:
 
 def u_from_v(v: MultiField, cartan: CartanMatrix | None = None) -> MultiField:
     """Apply the coupling matrix componentwise: u_i = sum_j a_ij v_j."""
-    cartan = _matching_cartan(v, cartan)
+    cartan = resolve_cartan(v.n_components, cartan)
     return _linear_combination(v, cartan.entries)
 
 
 def v_from_u(u: MultiField, cartan: CartanMatrix | None = None) -> MultiField:
     """Invert u_from_v using the exact closed-form inverse."""
-    cartan = _matching_cartan(u, cartan)
+    cartan = resolve_cartan(u.n_components, cartan)
     return _linear_combination(u, cartan.inverse_entries)
 
 
@@ -128,42 +131,63 @@ class EnergyBreakdown:
         return self.quadratic + self.linear + self.entropy
 
     def to_dict(self) -> dict:
-        return {
-            "quadratic": self.quadratic,
-            "linear": self.linear,
-            "entropy": self.entropy,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+
+class Evaluation(NamedTuple):
+    """One energy evaluation and the (N, n, n) pieces its gradient reuses."""
+
+    parts: EnergyBreakdown
+    v0: np.ndarray  # zero-mean representative of v
+    u: np.ndarray  # A v0
+    lse: np.ndarray  # log int exp(u_i), one per component
+    rho: np.ndarray  # normalized densities exp(u_i - lse_i)
+    neglap: np.ndarray  # -lap v0
+
+
+def evaluate(v_stack: np.ndarray, amat: np.ndarray, mv: np.ndarray) -> Evaluation:
+    """The energy of a (N, n, n) stack of potentials, at its zero-mean representative."""
+    n = v_stack.shape[-1]
+    cell_area = (1.0 / n) ** 2
+    v0 = _centered(v_stack)
+    u = np.tensordot(amat, v0, axes=(1, 0))
+    lse = _log_integral_exp(u)
+    rho = np.exp(u - lse[:, None, None])
+    neglap = _apply_symbol(v0, _neglap_symbol(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow here surfaces as a non-finite energy, which callers handle
+        quadratic = 0.5 * cell_area * float(np.sum(u * neglap))
+        linear = cell_area * float(np.sum((amat @ mv)[:, None, None] * v0))
+        entropy = -float(mv @ lse)
+    return Evaluation(EnergyBreakdown(quadratic, linear, entropy), v0, u, lse, rho, neglap)
+
+
+def raw_gradient(
+    ev: Evaluation, amat: np.ndarray, mv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """L2 gradient stack A (-lap v0 + s) and the source s = m (1 - rho) it uses."""
+    source = mv[:, None, None] * (1.0 - ev.rho)
+    return np.tensordot(amat, ev.neglap + source, axes=(1, 0)), source
 
 
 def energy(
     v: MultiField, m: Sequence[float], cartan: CartanMatrix | None = None
 ) -> EnergyBreakdown:
-    """Energy in the v-parametrization."""
-    cartan = _matching_cartan(v, cartan)
+    """Energy in the v-parametrization, by the kernel the descent runs.
+
+    It is evaluated at the zero-mean representative of v, so the linear
+    part is zero up to roundoff whatever the means of v.
+    """
+    cartan = resolve_cartan(v.n_components, cartan)
     mv = _check_couplings(m, cartan.rank)
-    a = cartan.entries
-    n = cartan.rank
-    pair = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            pair[i, j] = pair[j, i] = dirichlet_pairing(v.components[i], v.components[j])
-    quadratic = 0.5 * float(np.sum(a * pair))
-    ints = np.array([integral(c) for c in v.components])
-    linear = float(mv @ a @ ints)
-    u = u_from_v(v, cartan)
-    entropy = -float(sum(mv[i] * log_integral_exp(u.components[i]) for i in range(n)))
-    return EnergyBreakdown(quadratic, linear, entropy)
+    return evaluate(v.stack(), cartan.entries, mv).parts
 
 
 def energy_u(
     u: MultiField, m: Sequence[float], cartan: CartanMatrix | None = None
 ) -> EnergyBreakdown:
     """Energy in the u-parametrization (quadratic part via the inverse matrix)."""
-    cartan = _matching_cartan(u, cartan)
+    cartan = resolve_cartan(u.n_components, cartan)
     mv = _check_couplings(m, cartan.rank)
     inv = cartan.inverse_entries
     n = cartan.rank
@@ -173,30 +197,18 @@ def energy_u(
             pair[i, j] = pair[j, i] = dirichlet_pairing(u.components[i], u.components[j])
     quadratic = 0.5 * float(np.sum(inv * pair))
     linear = float(sum(mv[i] * integral(u.components[i]) for i in range(n)))
-    entropy = -float(sum(mv[i] * log_integral_exp(u.components[i]) for i in range(n)))
+    entropy = -float(mv @ _log_integral_exp(u.stack()))
     return EnergyBreakdown(quadratic, linear, entropy)
-
-
-def _densities(u: MultiField) -> np.ndarray:
-    """Normalized densities exp(u_i - log int exp(u_i)) as an (N, n, n) array."""
-    out = np.empty((u.n_components, *u.spec.shape))
-    for i, c in enumerate(u.components):
-        out[i] = np.exp(c.values - log_integral_exp(c))
-    return out
 
 
 def energy_gradient(
     v: MultiField, m: Sequence[float], cartan: CartanMatrix | None = None
 ) -> MultiField:
     """L2 gradient of the energy in v; each component has zero mean."""
-    cartan = _matching_cartan(v, cartan)
+    cartan = resolve_cartan(v.n_components, cartan)
     mv = _check_couplings(m, cartan.rank)
-    u = u_from_v(v, cartan)
-    rho = _densities(u)
-    terms = np.empty_like(rho)
-    for j, c in enumerate(v.components):
-        terms[j] = -laplacian(c).values + mv[j] * (1.0 - rho[j])
-    grads = np.tensordot(cartan.entries, terms, axes=(1, 0))
+    amat = cartan.entries
+    grads, _ = raw_gradient(evaluate(v.stack(), amat, mv), amat, mv)
     return MultiField.from_array(v.spec, grads)
 
 
@@ -209,23 +221,17 @@ def precondition_gradient(
     Laplacian; the mean passes through unchanged so the operator stays
     invertible on constants.
     """
-    cartan = _matching_cartan(g, cartan)
-    mixed = _linear_combination(g, cartan.inverse_entries)
-    out = []
-    for c in mixed.components:
-        mu = float(np.mean(c.values))
-        fluct = ScalarField(c.spec, c.values - mu)
-        smoothed = inverse_laplacian(fluct)
-        out.append(ScalarField(c.spec, smoothed.values + mu))
-    return MultiField(tuple(out))
+    cartan = resolve_cartan(g.n_components, cartan)
+    mixed = np.tensordot(cartan.inverse_entries, g.stack(), axes=(1, 0))
+    means = mixed.mean(axis=(1, 2), keepdims=True)
+    return MultiField.from_array(g.spec, _inverse_neg_laplacian(mixed) + means)
 
 
 def normalize_components(u: MultiField) -> MultiField:
     """Shift each component so int(exp(u_i)) = 1."""
-    shifted = [
-        ScalarField(c.spec, c.values - log_integral_exp(c)) for c in u.components
-    ]
-    return MultiField(tuple(shifted))
+    stacked = u.stack()
+    shifts = _log_integral_exp(stacked)[:, None, None]
+    return MultiField.from_array(u.spec, stacked - shifts)
 
 
 def euler_lagrange_residuals(
@@ -236,18 +242,11 @@ def euler_lagrange_residuals(
     Requires a normalized input (every int(exp(u_j)) equal to 1); a
     vanishing residual vector characterizes critical points of the energy.
     """
-    cartan = _matching_cartan(u, cartan)
+    cartan = resolve_cartan(u.n_components, cartan)
     mv = _check_couplings(m, cartan.rank)
-    for c in u.components:
-        if abs(log_integral_exp(c)) >= 1e-8:
-            raise ValueError("normalize first")
-    sources = np.empty((u.n_components, *u.spec.shape))
-    for j, c in enumerate(u.components):
-        sources[j] = mv[j] * (np.exp(c.values) - 1.0)
-    coupled = np.tensordot(cartan.entries, sources, axes=(1, 0))
-    h2 = u.spec.h**2
-    out = np.empty(u.n_components)
-    for i, c in enumerate(u.components):
-        res = -laplacian(c).values - coupled[i]
-        out[i] = np.sqrt(np.sum(res**2) * h2)
-    return out
+    stacked = u.stack()
+    if np.any(np.abs(_log_integral_exp(stacked)) >= 1e-8):
+        raise ValueError("normalize first")
+    sources = mv[:, None, None] * (np.exp(stacked) - 1.0)
+    res = _neg_laplacian(stacked) - np.tensordot(cartan.entries, sources, axes=(1, 0))
+    return np.sqrt(np.sum(res**2, axis=(1, 2)) * u.spec.h**2)

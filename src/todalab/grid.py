@@ -5,11 +5,17 @@ n a power of two, so integrals carry the cell weight h^2 = 1/n^2 and
 differential operators act diagonally in Fourier space with integer
 wavenumbers.  Fields are immutable value objects; every operation
 returns a new field and validates finiteness on construction.
+
+One spectral core serves the whole package: cached per-n symbols on the
+rfft2 half spectrum (-lap, its inverse on zero-mean fields, and the two
+partial derivatives) and stack-aware helpers that apply them to any
+(..., n, n) array over its last two axes.  The energy and its gradient,
+the preconditioner, the descent, the stationarity residuals and the
+disk-balance derivatives are all built on it.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,14 +33,7 @@ __all__ = [
     "log_integral_exp",
     "inverse_laplacian",
     "disk_mass",
-    "field_to_bytes",
-    "field_from_bytes",
-    "save_field",
-    "load_field",
-    "write_field_csv",
 ]
-
-TWO_PI_SQ = 2.0 * np.pi**2
 
 
 def _validate_n(n: int) -> None:
@@ -65,25 +64,79 @@ class GridSpec:
         return xs, xs.copy()
 
 
+# ---------------------------------------------------------------------------
+# the spectral core: cached symbols and the stacked transform pair
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    # cached symbols are shared by every caller, so none may write to them
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=None)
-def _ksq_rfft(n: int) -> np.ndarray:
-    """|k|^2 on the half-spectrum grid used by rfft2, integer wavenumbers."""
+def _neglap_symbol(n: int) -> np.ndarray:
+    """4 pi^2 |k|^2 on the rfft2 half spectrum, the symbol of -lap."""
     kx = np.fft.fftfreq(n, d=1.0 / n)
     ky = np.fft.rfftfreq(n, d=1.0 / n)
-    return kx[:, None] ** 2 + ky[None, :] ** 2
+    return _read_only(4.0 * np.pi**2 * (kx[:, None] ** 2 + ky[None, :] ** 2))
 
 
 @lru_cache(maxsize=None)
-def _rfft_column_weights(n: int) -> np.ndarray:
-    """Multiplicity of each rfft2 column when summing over the full spectrum.
+def _inverse_symbol(n: int) -> np.ndarray:
+    """Reciprocal of the -lap symbol with the zero mode dropped."""
+    symbol = _neglap_symbol(n)
+    inv = np.zeros_like(symbol)
+    inv[symbol > 0] = 1.0 / symbol[symbol > 0]
+    return _read_only(inv)
 
-    The ky = 0 and ky = n/2 columns are self-conjugate and count once;
-    interior columns stand in for a conjugate pair and count twice.
+
+@lru_cache(maxsize=None)
+def _derivative_symbols(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """2 pi i k_x and 2 pi i k_y, the symbols of d/dx and d/dy."""
+    kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
+    return _read_only(2j * np.pi * kx), _read_only(2j * np.pi * ky)
+
+
+def _apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """irfft2(symbol * rfft2(values)) over the last two axes of a stack."""
+    hat = np.fft.rfft2(values, axes=(-2, -1))
+    return np.fft.irfft2(symbol * hat, s=values.shape[-2:], axes=(-2, -1))
+
+
+def _centered(values: np.ndarray) -> np.ndarray:
+    """Each (n, n) slice minus its mean."""
+    return values - values.mean(axis=(-2, -1), keepdims=True)
+
+
+def _neg_laplacian(values: np.ndarray) -> np.ndarray:
+    """-lap of each (n, n) slice, eigenvalue 4 pi^2 |k|^2 on mode k.
+
+    The mean is removed before transforming: the operator kills constants
+    exactly, and keeping the large zero mode out of the transform stops
+    its rounding noise from leaking into the high-wavenumber eigenvalues.
     """
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    return w
+    return _apply_symbol(_centered(values), _neglap_symbol(values.shape[-1]))
+
+
+def _inverse_neg_laplacian(values: np.ndarray) -> np.ndarray:
+    """Zero-mean solution of -lap g = f for each slice; the mean of f is dropped."""
+    return _apply_symbol(values, _inverse_symbol(values.shape[-1]))
+
+
+def _spatial_gradient(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partial derivatives (d/dx, d/dy) of each slice."""
+    dx, dy = _derivative_symbols(values.shape[-1])
+    return _apply_symbol(values, dx), _apply_symbol(values, dy)
+
+
+def _log_integral_exp(values: np.ndarray) -> np.ndarray:
+    """log of the integral of exp, per slice, max-shifted so it never overflows."""
+    n = values.shape[-1]
+    peak = values.max(axis=(-2, -1))
+    sums = np.exp(values - peak[..., None, None]).sum(axis=(-2, -1))
+    return np.log(sums * (1.0 / n) ** 2) + peak
 
 
 @dataclass(frozen=True)
@@ -151,52 +204,31 @@ def mean(f: ScalarField) -> float:
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    """Periodic Laplacian, eigenvalue -4 pi^2 |k|^2 on mode k.
-
-    The mean is removed before transforming: the operator kills constants
-    exactly, and keeping the large zero mode out of the transform stops
-    its rounding noise from leaking into the high-wavenumber eigenvalues.
-    """
-    n = f.spec.n
-    fhat = np.fft.rfft2(f.values - np.mean(f.values))
-    out = np.fft.irfft2(-2.0 * TWO_PI_SQ * _ksq_rfft(n) * fhat, s=(n, n))
-    return ScalarField(f.spec, out)
+    """Periodic Laplacian, eigenvalue -4 pi^2 |k|^2 on mode k."""
+    return ScalarField(f.spec, -_neg_laplacian(f.values))
 
 
 def dirichlet_pairing(f: ScalarField, g: ScalarField) -> float:
-    """Energy pairing of gradients: sum over modes of 4 pi^2 |k|^2 Re(fhat conj(ghat)).
+    """Energy pairing of gradients, int grad f . grad g = h^2 sum (f - mean f)(-lap g).
 
-    Fourier coefficients are normalized to the unit torus (DFT / n^2),
-    so the mode sum carries a 1/n^4 factor.
+    The mean drops out of the pairing; removing it from f as well keeps
+    a large constant from polluting the sum with roundoff.
     """
     _require_same_grid(f, g)
-    n = f.spec.n
-    # means drop out of the pairing; removing them first keeps the large
-    # zero mode from polluting the |k|^2-weighted sum with roundoff
-    fhat = np.fft.rfft2(f.values - np.mean(f.values))
-    ghat = np.fft.rfft2(g.values - np.mean(g.values))
-    cross = np.real(fhat * np.conj(ghat)) * _ksq_rfft(n)
-    total = float(np.sum(cross @ _rfft_column_weights(n)))
-    return 2.0 * TWO_PI_SQ * total / n**4
+    cross = _centered(f.values) * _neg_laplacian(g.values)
+    return float(np.sum(cross)) * f.spec.h**2
 
 
 def log_integral_exp(f: ScalarField) -> float:
     """log of the integral of exp(f), max-shifted so it never overflows."""
-    m = float(np.max(f.values))
-    return m + float(np.log(np.sum(np.exp(f.values - m)) * f.spec.h**2))
+    return float(_log_integral_exp(f.values))
 
 
 def inverse_laplacian(f: ScalarField) -> ScalarField:
     """Zero-mean solution g of -lap(g) = f; the source must have zero mean."""
     if abs(mean(f)) >= 1e-10:
         raise ValueError("incompatible source")
-    n = f.spec.n
-    fhat = np.fft.rfft2(f.values)
-    denom = 2.0 * TWO_PI_SQ * _ksq_rfft(n)
-    denom[0, 0] = 1.0  # placeholder; the zero mode is discarded below
-    ghat = fhat / denom
-    ghat[0, 0] = 0.0
-    return ScalarField(f.spec, np.fft.irfft2(ghat, s=(n, n)))
+    return ScalarField(f.spec, _inverse_neg_laplacian(f.values))
 
 
 def _periodic_dist_sq(spec: GridSpec, center: tuple[float, float]) -> np.ndarray:
@@ -216,46 +248,3 @@ def disk_mass(rho: ScalarField, center: tuple[float, float], radius: float) -> f
         raise ValueError("density must be nonnegative")
     mask = _periodic_dist_sq(rho.spec, center) <= radius**2
     return float(np.sum(rho.values[mask])) * rho.spec.h**2
-
-
-# ---------------------------------------------------------------------------
-# serialization: binary container and CSV table
-
-_HEADER = struct.Struct("<I")
-
-
-def field_to_bytes(f: ScalarField) -> bytes:
-    """Binary container: uint32 n (little-endian), then row-major float64."""
-    return _HEADER.pack(f.spec.n) + f.values.astype("<f8").tobytes(order="C")
-
-
-def field_from_bytes(data: bytes) -> ScalarField:
-    if len(data) < _HEADER.size:
-        raise ValueError("truncated field container")
-    (n,) = _HEADER.unpack_from(data)
-    _validate_n(n)
-    body = data[_HEADER.size :]
-    if len(body) != 8 * n * n:
-        raise ValueError("truncated field container")
-    vals = np.frombuffer(body, dtype="<f8").reshape(n, n)
-    return ScalarField(GridSpec(int(n)), vals)
-
-
-def save_field(f: ScalarField, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(field_to_bytes(f))
-
-
-def load_field(path) -> ScalarField:
-    with open(path, "rb") as fh:
-        return field_from_bytes(fh.read())
-
-
-def write_field_csv(f: ScalarField, path) -> None:
-    """Plain-text dump with header x,y,value, one row per sample."""
-    xs, ys = f.spec.coords()
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for i in range(f.spec.n):
-            for j in range(f.spec.n):
-                fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{f.values[i, j]:.17g}\n")

@@ -22,9 +22,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cartan import CartanMatrix, _check_couplings, cartan_su
-from .functional import MultiField, euler_lagrange_residuals, v_from_u
-from .grid import GridSpec, ScalarField, _ksq_rfft, _periodic_dist_sq, random_smooth_field
+from .cartan import CartanMatrix, _check_couplings, resolve_cartan
+from ._csv import write_csv
+from .functional import (
+    MultiField,
+    euler_lagrange_residuals,
+    evaluate,
+    raw_gradient,
+    v_from_u,
+)
+from .grid import (
+    GridSpec,
+    ScalarField,
+    _inverse_neg_laplacian,
+    _log_integral_exp,
+    _periodic_dist_sq,
+    random_smooth_field,
+)
 from .bubbles import BubbleParams, standard_bubble
 
 __all__ = [
@@ -122,47 +136,6 @@ class MinimizeReport:
         return out
 
 
-def _resolve_cartan(rank: int, cartan: Optional[CartanMatrix]) -> CartanMatrix:
-    if cartan is None:
-        return cartan_su(rank)
-    if cartan.rank != rank:
-        raise ValueError("coupling matrix rank does not match component count")
-    return cartan
-
-
-def _component_lse(stacked: np.ndarray, cell_area: float) -> np.ndarray:
-    """Per-component log of the exp-integral, shifted against overflow."""
-    peak = stacked.max(axis=(1, 2))
-    sums = np.exp(stacked - peak[:, None, None]).sum(axis=(1, 2))
-    return np.log(sums * cell_area) + peak
-
-
-def _evaluate(v_stack, amat, mv, km, neglap_mult, cell_area):
-    """Energy and the reusable pieces of one descent iteration."""
-    means = v_stack.mean(axis=(1, 2))
-    v0 = v_stack - means[:, None, None]
-    u = np.tensordot(amat, v0, axes=(1, 0))
-    lse = _component_lse(u, cell_area)
-    rho = np.exp(u - lse[:, None, None])
-    vhat = np.fft.rfft2(v0, axes=(-2, -1))
-    neglap = np.fft.irfft2(neglap_mult * vhat, s=v0.shape[-2:], axes=(-2, -1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # overflow here is handled downstream as a non-finite energy
-        quadratic = 0.5 * cell_area * float(np.sum(u * neglap))
-        linear = cell_area * float(np.sum(km[:, None, None] * v0))
-        energy = quadratic + linear - float(mv @ lse)
-    return energy, v0, u, lse, rho, neglap
-
-
-def _gradients(v0, rho, neglap, amat, mv, neglap_mult, inv_mult):
-    """Raw gradient stack and its preconditioned image."""
-    source = mv[:, None, None] * (1.0 - rho)
-    raw = np.tensordot(amat, neglap + source, axes=(1, 0))
-    shat = np.fft.rfft2(source, axes=(-2, -1))
-    smoothed = np.fft.irfft2(inv_mult * shat, s=v0.shape[-2:], axes=(-2, -1))
-    return raw, v0 + smoothed
-
-
 def minimize(
     m: Sequence[float],
     spec: GridSpec,
@@ -182,12 +155,10 @@ def minimize(
     output); otherwise Budget.
     """
     config = config or MinimizeConfig()
-    cartan = _resolve_cartan(len(m), cartan)
+    cartan = resolve_cartan(len(m), cartan)
     mv = _check_couplings(m, cartan.rank)
-    n = spec.n
     cell_area = spec.h * spec.h
     amat = cartan.entries
-    km = amat @ mv
 
     if init is None:
         rng = np.random.default_rng(config.seed)
@@ -201,24 +172,21 @@ def minimize(
             raise ValueError("component count does not match coupling rank")
         v_stack = init.stack()
 
-    neglap_mult = 4.0 * np.pi**2 * _ksq_rfft(n)
-    inv_mult = np.zeros_like(neglap_mult)
-    inv_mult[neglap_mult > 0] = 1.0 / neglap_mult[neglap_mult > 0]
-
-    energy, v0, u, lse, rho, neglap = _evaluate(
-        v_stack, amat, mv, km, neglap_mult, cell_area
-    )
+    current = evaluate(v_stack, amat, mv)
+    energy = current.parts.total
     trace = [energy]
+    # the line search accepts only finite energies, so the start is the
+    # one place a non-finite value can enter
+    if not np.isfinite(energy):
+        raise NonFiniteEnergyError("non-finite energy at iteration 0", trace)
     step = config.step
     iterations = 0
     converged = False
+    certified = None
 
     for _ in range(config.max_iters):
-        if not np.isfinite(energy):
-            raise NonFiniteEnergyError(
-                f"non-finite energy at iteration {iterations}", trace
-            )
-        raw, precond = _gradients(v0, rho, neglap, amat, mv, neglap_mult, inv_mult)
+        raw, source = raw_gradient(current, amat, mv)
+        precond = current.v0 + _inverse_neg_laplacian(source)
         precond_norm = float(np.sqrt(cell_area * np.sum(precond**2)))
         raw_norms = np.sqrt(cell_area * np.sum(raw**2, axis=(1, 2)))
         if precond_norm < config.grad_tol and np.all(
@@ -235,15 +203,16 @@ def minimize(
         accepted = None
         while step > 1e-16 * config.step:
             candidate = v_stack + step * direction
-            trial = _evaluate(candidate, amat, mv, km, neglap_mult, cell_area)
-            if np.isfinite(trial[0]) and trial[0] <= energy + ARMIJO_C1 * step * slope:
+            trial = evaluate(candidate, amat, mv)
+            trial_energy = trial.parts.total
+            if np.isfinite(trial_energy) and trial_energy <= energy + ARMIJO_C1 * step * slope:
                 accepted = (candidate, trial)
                 break
             step *= BACKTRACK
         if accepted is None:
             break
-        v_stack = accepted[0]
-        energy, v0, u, lse, rho, neglap = accepted[1]
+        v_stack, current = accepted
+        energy = current.parts.total
         trace.append(energy)
         iterations += 1
         step *= STEP_GROWTH
@@ -251,19 +220,17 @@ def minimize(
         # further descent only chases the same grid-limited spike
         if energy < trace[0] - config.divergence_energy_drop:
             spots = _concentration_from_density(
-                rho, spec, config.concentration_radius
+                current.rho, spec, config.concentration_radius
             )
             if any(s.mass > config.concentration_mass for s in spots):
+                certified = spots
                 break
 
-    if not np.isfinite(energy):
-        raise NonFiniteEnergyError(
-            f"non-finite energy at iteration {iterations}", trace
-        )
-
-    u_norm = u - lse[:, None, None]
+    u_norm = current.u - current.lse[:, None, None]
     final_u = MultiField(tuple(ScalarField(spec, comp) for comp in u_norm))
-    spots = _concentration_from_density(rho, spec, config.concentration_radius)
+    spots = certified or _concentration_from_density(
+        current.rho, spec, config.concentration_radius
+    )
     dropped = trace[-1] < trace[0] - config.divergence_energy_drop
     if dropped and any(s.mass > config.concentration_mass for s in spots):
         status = STATUS_UNBOUNDED
@@ -307,7 +274,7 @@ def _concentration_from_density(
         peak = float(masses.max())
         # lexicographically smallest center among near-equal maxima
         tied = masses >= peak * (1.0 - 1e-12)
-        ci, cj = np.argwhere(tied)[0]
+        ci, cj = np.unravel_index(np.argmax(tied), tied.shape)
         spots.append(ConcentrationSpot(mass=peak, center=(ci / spec.n, cj / spec.n)))
     return tuple(spots)
 
@@ -322,8 +289,7 @@ def detect_concentration(
     lexicographically smallest center.
     """
     stacked = u.stack()
-    lse = _component_lse(stacked, u.spec.h ** 2)
-    if np.any(np.abs(lse) > 1e-8):
+    if np.any(np.abs(_log_integral_exp(stacked)) > 1e-8):
         raise ValueError("normalize first")
     return _concentration_from_density(np.exp(stacked), u.spec, radius)
 
@@ -342,7 +308,7 @@ def _classify(
 ) -> tuple[str, MinimizeReport]:
     """Classification plus the run that decided it (for sweep rows)."""
     config = config or MinimizeConfig()
-    cartan = _resolve_cartan(len(m), cartan)
+    cartan = resolve_cartan(len(m), cartan)
     if cartan.rank != 2:
         raise ValueError("classification seeds are defined for two components")
     zeros = MultiField.zeros(spec, cartan.rank)
@@ -427,15 +393,12 @@ def sweep(
 
 def write_region_csv(rows: Sequence[SweepRow], destination) -> None:
     """Write sweep rows as CSV to a path or text file object."""
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    handle = open(destination, "w", encoding="utf-8") if own else destination
-    try:
-        handle.write(REGION_CSV_HEADER + "\n")
-        for r in rows:
-            handle.write(
-                f"{r.m1:.12g},{r.m2:.12g},{r.status},{r.energy:.12g},"
-                f"{r.max_field:.12g},{r.conc1:.12g},{r.conc2:.12g}\n"
-            )
-    finally:
-        if own:
-            handle.close()
+    write_csv(
+        destination,
+        REGION_CSV_HEADER,
+        (
+            f"{r.m1:.12g},{r.m2:.12g},{r.status},{r.energy:.12g},"
+            f"{r.max_field:.12g},{r.conc1:.12g},{r.conc2:.12g}"
+            for r in rows
+        ),
+    )

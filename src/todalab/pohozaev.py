@@ -19,14 +19,15 @@ fluctuation part touches the cell mask, keeping constant fields exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cartan import CartanMatrix, _check_couplings
-from .functional import MultiField, _matching_cartan
-from .grid import GridSpec, _periodic_dist_sq
+from .cartan import CartanMatrix, _check_couplings, resolve_cartan
+from ._csv import write_csv
+from .functional import MultiField
+from .grid import _log_integral_exp, _periodic_dist_sq, _spatial_gradient
 
 __all__ = [
     "DiskBalance",
@@ -56,28 +57,7 @@ class DiskBalance:
     volume_linear: float
 
     def to_dict(self) -> dict:
-        return {
-            "center": [self.center[0], self.center[1]],
-            "r": self.r,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "boundary_stress": self.boundary_stress,
-            "boundary_exp": self.boundary_exp,
-            "boundary_linear": self.boundary_linear,
-            "volume_linear": self.volume_linear,
-        }
-
-
-def _spectral_gradients(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives along both axes via the integer-mode spectrum."""
-    n = values.shape[0]
-    hat = np.fft.rfft2(values)
-    kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
-    ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
-    gx = np.fft.irfft2(2j * np.pi * kx * hat, s=values.shape)
-    gy = np.fft.irfft2(2j * np.pi * ky * hat, s=values.shape)
-    return gx, gy
+        return {**asdict(self), "center": list(self.center)}
 
 
 def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -121,7 +101,7 @@ def disk_balance(
     residual (up to quadrature error) certifies local criticality.
     """
     spec = u.spec
-    cartan = _matching_cartan(u, cartan)
+    cartan = resolve_cartan(u.n_components, cartan)
     mv = _check_couplings(m, cartan.rank)
     h = spec.h
     if not 4 * h <= r <= 0.4:
@@ -132,12 +112,11 @@ def disk_balance(
 
     stacked = u.stack()
     cell = h * h
-    lse = [float(np.log(np.exp(comp).sum() * cell)) for comp in stacked]
-    if any(abs(v) > 1e-8 for v in lse):
+    if np.any(np.abs(_log_integral_exp(stacked)) > 1e-8):
         raise ValueError("normalize first")
 
-    grads = [_spectral_gradients(comp) for comp in stacked]
-    steepest = max(float(np.max(np.hypot(gx, gy))) for gx, gy in grads)
+    gx, gy = _spatial_gradient(stacked)
+    steepest = float(np.max(np.hypot(gx, gy)))
     if steepest * h > MAX_RESOLVED_GRADIENT:
         raise ValueError("refine grid")
 
@@ -152,8 +131,8 @@ def disk_balance(
     ds = 2 * np.pi * r / npts
 
     u_b = [_bilinear(comp, bx, by) for comp in stacked]
-    gx_b = [_bilinear(gx, bx, by) for gx, _ in grads]
-    gy_b = [_bilinear(gy, bx, by) for _, gy in grads]
+    gx_b = [_bilinear(comp, bx, by) for comp in gx]
+    gy_b = [_bilinear(comp, bx, by) for comp in gy]
     dn = [gx_b[i] * nx + gy_b[i] * ny for i in range(cartan.rank)]
 
     kinv = cartan.inverse_entries
@@ -213,17 +192,14 @@ def radius_scan(
 
 def write_balance_csv(rows: Sequence[DiskBalance], destination) -> None:
     """Write one balance per line as CSV to a path or text file object."""
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    handle = open(destination, "w", encoding="utf-8") if own else destination
-    try:
-        handle.write(BALANCE_CSV_HEADER + "\n")
-        for b in rows:
-            handle.write(
-                f"{b.center[0]:.12g},{b.center[1]:.12g},{b.r:.12g},"
-                f"{b.lhs:.12g},{b.rhs:.12g},{b.residual:.12g},"
-                f"{b.boundary_stress:.12g},{b.boundary_exp:.12g},"
-                f"{b.boundary_linear:.12g},{b.volume_linear:.12g}\n"
-            )
-    finally:
-        if own:
-            handle.close()
+    write_csv(
+        destination,
+        BALANCE_CSV_HEADER,
+        (
+            f"{b.center[0]:.12g},{b.center[1]:.12g},{b.r:.12g},"
+            f"{b.lhs:.12g},{b.rhs:.12g},{b.residual:.12g},"
+            f"{b.boundary_stress:.12g},{b.boundary_exp:.12g},"
+            f"{b.boundary_linear:.12g},{b.volume_linear:.12g}"
+            for b in rows
+        ),
+    )

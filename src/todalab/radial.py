@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .cartan import CartanMatrix, cartan_su
+from .cartan import CartanMatrix, resolve_cartan
+from ._csv import write_csv
 
 __all__ = [
     "RadialSolution",
@@ -110,14 +110,6 @@ class ShootingRow:
     relation_rel: float
 
 
-def _resolve_cartan(rank: int, cartan: Optional[CartanMatrix]) -> CartanMatrix:
-    if cartan is None:
-        return cartan_su(rank)
-    if cartan.rank != rank:
-        raise ValueError("coupling matrix rank does not match component count")
-    return cartan
-
-
 def integrate_radial(
     a0: Sequence[float],
     r_max: float = 1000.0,
@@ -142,19 +134,16 @@ def integrate_radial(
         raise ValueError("tol must lie in [1e-12, 1e-6]")
     if nodes < 16:
         raise ValueError("nodes must be at least 16")
-    cartan = _resolve_cartan(start.size, cartan)
+    # the only scipy use in the package, imported here so that
+    # `import todalab` and the grid commands never load it
+    from scipy.integrate import solve_ivp
+
+    cartan = resolve_cartan(start.size, cartan)
     amat = cartan.entries
     rank = cartan.rank
 
-    curvature = amat @ np.exp(start)
     r0 = SERIES_RADIUS
-    y0 = np.concatenate(
-        [
-            start - curvature * r0 * r0 / 4.0,
-            -curvature * r0 * r0 / 2.0,
-            np.pi * np.exp(start) * r0 * r0,
-        ]
-    )
+    y0 = np.concatenate(_series_state(start, amat, r0))
 
     def rhs(t, y):
         weights = np.exp(y[:rank] + 2.0 * t)
@@ -270,16 +259,21 @@ def asymptotic_slopes(sol: RadialSolution) -> tuple[SlopeCheck, ...]:
     return tuple(checks)
 
 
+def _series_state(start: np.ndarray, amat: np.ndarray, r: float):
+    """(u, r u', alpha) of the quadratic series at the origin, r < SERIES_RADIUS."""
+    curvature = amat @ np.exp(start)
+    return (
+        start - curvature * r * r / 4.0,
+        -curvature * r * r / 2.0,
+        np.pi * np.exp(start) * r * r,
+    )
+
+
 def _state_at(sol: RadialSolution, r: float):
     """(u, r u', alpha) at radius r from the dense solution or the series."""
     rank = sol.n_components
     if r < SERIES_RADIUS:
-        start = np.asarray(sol.a0)
-        curvature = sol.cartan.entries @ np.exp(start)
-        u = start - curvature * r * r / 4.0
-        w = -curvature * r * r / 2.0
-        alpha = np.pi * np.exp(start) * r * r
-        return u, w, alpha
+        return _series_state(np.asarray(sol.a0), sol.cartan.entries, r)
     y = sol._dense(np.log(r))
     return y[:rank], y[rank : 2 * rank], y[2 * rank :]
 
@@ -361,25 +355,10 @@ def sweep_shooting(
 
 def write_solution_csv(sol: RadialSolution, destination) -> None:
     """Write (r, u_j, du_j, alpha_j) rows to a path or text file object."""
-    rank = sol.n_components
-    header = (
-        "r,"
-        + ",".join(f"u{j + 1}" for j in range(rank))
-        + ","
-        + ",".join(f"du{j + 1}" for j in range(rank))
-        + ","
-        + ",".join(f"alpha{j + 1}" for j in range(rank))
+    names = [f"{q}{j + 1}" for q in ("u", "du", "alpha") for j in range(sol.n_components)]
+    table = np.vstack([sol.r_nodes, sol.u, sol.du, sol.alpha]).T
+    write_csv(
+        destination,
+        ",".join(["r"] + names),
+        (",".join(f"{x:.12g}" for x in row) for row in table),
     )
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    handle = open(destination, "w", encoding="utf-8") if own else destination
-    try:
-        handle.write(header + "\n")
-        for k in range(sol.r_nodes.size):
-            cells = [f"{sol.r_nodes[k]:.12g}"]
-            cells += [f"{sol.u[j, k]:.12g}" for j in range(rank)]
-            cells += [f"{sol.du[j, k]:.12g}" for j in range(rank)]
-            cells += [f"{sol.alpha[j, k]:.12g}" for j in range(rank)]
-            handle.write(",".join(cells) + "\n")
-    finally:
-        if own:
-            handle.close()

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from todalab.bubbles import (
     BubbleParams,
@@ -78,6 +81,60 @@ def exact_quantities(scale, m, d=0.25):
     }
 
 
+def _split_quad(fn, upper, core):
+    """Adaptive quadrature on [0, upper] split at the core width."""
+    cut = min(core, upper)
+    pieces = [quad(fn, 0.0, cut, epsabs=1e-13, epsrel=1e-12, limit=200)]
+    if cut < upper:
+        pieces.append(quad(fn, cut, upper, epsabs=1e-13, epsrel=1e-12, limit=200))
+    return float(sum(val for val, _ in pieces))
+
+
+def quadrature_quantities(scale, m, d=0.25):
+    """The tracked quantities by radial quadrature of the profile.
+
+    Independent of the closed forms: it integrates the profile
+    u1 = 2 log(scale) - 2 log(1 + a r^2) and its derivative over the
+    truncation disk and adds the flat outside part.
+    """
+    a = scale**2 * np.pi
+
+    def u1(r):
+        return 2.0 * np.log(scale) - 2.0 * np.log1p(a * np.minimum(r, d) ** 2)
+
+    def du1(r):
+        return -4.0 * a * r / (1.0 + a * r**2) if r < d else 0.0
+
+    core = 1.0 / (scale * np.sqrt(np.pi))
+    outer_area = 1.0 - np.pi * d**2
+    u1_edge = float(u1(np.array(d)))
+
+    def ring(f):
+        return lambda r: f(r) * 2.0 * np.pi * r
+
+    g11 = _split_quad(ring(lambda r: du1(r) ** 2), d, core)
+    g22 = _split_quad(ring(lambda r: (0.5 * du1(r)) ** 2), d, core)
+    g12 = _split_quad(ring(lambda r: -0.5 * du1(r) ** 2), d, core)
+    i1 = _split_quad(ring(lambda r: u1(np.array(r))), d, core) + u1_edge * outer_area
+    mass1 = _split_quad(ring(lambda r: np.exp(u1(np.array(r)))), d, core)
+    mass1 += np.exp(u1_edge) * outer_area
+    mass2 = _split_quad(ring(lambda r: np.exp(-0.5 * u1(np.array(r)))), d, core)
+    mass2 += np.exp(-0.5 * u1_edge) * outer_area
+    # u-form quadratic part (1/2) sum_ij Kinv_ij g_ij, Kinv = [[2, 1], [1, 2]] / 3
+    quadratic = (g11 + g12 + g22) / 3.0
+    lm1, lm2 = np.log(mass1), np.log(mass2)
+    return {
+        "grad1_sq": g11,
+        "grad2_sq": g22,
+        "grad_cross": g12,
+        "int_u1": i1,
+        "int_u2": -0.5 * i1,
+        "log_mass_u1": lm1,
+        "log_mass_u2": lm2,
+        "energy": quadratic + m[0] * i1 - 0.5 * m[1] * i1 - m[0] * lm1 - m[1] * lm2,
+    }
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         BubbleParams(scale=-1.0)
@@ -129,6 +186,18 @@ def test_quantities_other_truncation_radius():
     want = exact_quantities(12.0, m, d=0.1)
     for key in QUANTITY_KEYS:
         assert got[key] == pytest.approx(want[key], rel=1e-9), key
+
+
+@given(scale=st.floats(2.0, 1e3), flat_radius=st.floats(0.01, 0.5))
+def test_closed_forms_match_quadrature(scale, flat_radius):
+    m = (3.0 * np.pi, 2.0 * np.pi)
+    got = bubble_quantities(scale, m, flat_radius=flat_radius)
+    want = quadrature_quantities(scale, m, d=flat_radius)
+    # log_mass_u1 passes through zero (at scale 4.75 for flat_radius
+    # 0.39) and tends to zero with scale, where the log of a mass near 1
+    # keeps only ~1e-16 absolute accuracy on either side
+    for key in QUANTITY_KEYS:
+        assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-15), key
 
 
 def test_quantities_validate_couplings():
@@ -216,6 +285,20 @@ def test_liouville_mass_is_one():
     assert liouville_mass() == pytest.approx(1.0, abs=1e-6)
     # truncated mass has the closed form 1 - 1/(1 + pi R^2)
     assert liouville_mass(2.0) == pytest.approx(1.0 - 1.0 / (1.0 + 4.0 * np.pi), rel=1e-9)
+
+
+@pytest.mark.parametrize("r_max", [2.0, 1e4])
+def test_liouville_mass_matches_quadrature(r_max):
+    want, _ = quad(
+        lambda r: 2.0 * np.pi * r * np.exp(liouville_value(r)),
+        0.0,
+        r_max,
+        epsabs=1e-12,
+        epsrel=1e-12,
+        limit=400,
+        points=[1.0],
+    )
+    assert liouville_mass(r_max) == pytest.approx(want, rel=1e-9)
 
 
 def test_family_energy_trend_across_threshold():

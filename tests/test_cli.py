@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import todalab
 from todalab.cli import (
     CliError,
     IDENTITY_CSV_HEADER,
@@ -245,3 +250,24 @@ def test_emit_identity_suite_rows_have_measured_residuals():
 def test_resolve_config_rejects_bad_values():
     with pytest.raises(CliError, match="cannot parse integer"):
         resolve_config("minimize", {"n": "lots"}, None)
+
+
+def test_import_and_grid_commands_leave_scipy_unloaded(tmp_path):
+    # only the radial solver needs scipy, and it imports it when called
+    script = "\n".join([
+        "import sys, todalab",
+        "assert 'scipy' not in sys.modules, 'import todalab loaded scipy'",
+        f"assert todalab.main(['bubble', '--out', {str(tmp_path / 'b')!r}]) == 0",
+        f"assert todalab.main(['pohozaev', '--n', '32', '--radii', '0.2',"
+        f" '--out', {str(tmp_path / 'p')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'a grid command loaded scipy'",
+    ])
+    src = Path(todalab.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

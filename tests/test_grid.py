@@ -10,18 +10,13 @@ from todalab.grid import (
     ScalarField,
     dirichlet_pairing,
     disk_mass,
-    field_from_bytes,
-    field_to_bytes,
     integral,
     inverse_laplacian,
     laplacian,
-    load_field,
     log_integral_exp,
     mean,
     random_smooth_field,
     sample_function,
-    save_field,
-    write_field_csv,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -284,41 +279,3 @@ def test_disk_mass_rejects_negative_density():
     rho = ScalarField(spec, -np.ones(spec.shape))
     with pytest.raises(ValueError, match="nonnegative"):
         disk_mass(rho, (0.0, 0.0), 0.1)
-
-
-# ------------------------------------------------------------ serialization
-
-
-def test_binary_roundtrip(tmp_path):
-    spec = GridSpec(32)
-    f = random_smooth_field(spec, np.random.default_rng(2), k_max=5, amplitude=1.0)
-    blob = field_to_bytes(f)
-    assert len(blob) == 4 + 8 * spec.n**2
-    back = field_from_bytes(blob)
-    assert back.spec == spec
-    assert np.array_equal(back.values, f.values)
-
-    path = tmp_path / "field.bin"
-    save_field(f, path)
-    assert np.array_equal(load_field(path).values, f.values)
-
-
-def test_binary_rejects_truncation():
-    spec = GridSpec(8)
-    blob = field_to_bytes(ScalarField(spec, np.zeros(spec.shape)))
-    with pytest.raises(ValueError, match="truncated"):
-        field_from_bytes(blob[:-1])
-
-
-def test_csv_format(tmp_path):
-    spec = GridSpec(8)
-    f = sample_function(spec, lambda x, y: x + 2 * y)
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 1 + spec.n**2
-    x, y, v = (float(tok) for tok in lines[1].split(","))
-    assert (x, y, v) == (0.0, 0.0, 0.0)
-    x, y, v = (float(tok) for tok in lines[-1].split(","))
-    assert v == pytest.approx(x + 2 * y, rel=1e-15)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from todalab.bubbles import BubbleParams, standard_bubble
 from todalab.cartan import cartan_su
-from todalab.functional import MultiField, v_from_u
+from todalab.functional import MultiField, energy, v_from_u
 from todalab.grid import (
     GridSpec,
     ScalarField,
@@ -18,6 +18,7 @@ from todalab.grid import (
     log_integral_exp,
     random_smooth_field,
 )
+import todalab.minimizer as minimizer
 from todalab.minimizer import (
     REGION_CSV_HEADER,
     ConcentrationSpot,
@@ -180,6 +181,20 @@ def test_budget_status_when_iterations_run_out():
     assert report.iterations == 1
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_descent_starts_at_functional_energy(n):
+    # minimize and functional.energy share one kernel, so criterion 01's
+    # finite-difference check of energy covers the energy the descent sees
+    spec = GridSpec(n)
+    m = (3 * PI, 2 * PI)
+    init = MultiField(
+        tuple(ScalarField(spec, f.values + c)
+              for f, c in zip(random_init(spec, n).components, (0.4, -1.3)))
+    )
+    report = minimize(m, spec, init=init, config=MinimizeConfig(max_iters=1))
+    assert report.energy_trace[0] == pytest.approx(energy(init, m).total, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # gauge and determinism
 
@@ -213,7 +228,11 @@ def test_same_seed_reproduces_trace_exactly():
 # blow-up past the threshold
 
 
-def test_supercritical_first_coupling_blows_up_from_bubble_seed():
+def test_supercritical_first_coupling_blows_up_from_bubble_seed(monkeypatch):
+    detect = minimizer._concentration_from_density
+    calls = []
+    monkeypatch.setattr(minimizer, "_concentration_from_density",
+                        lambda *args: calls.append(args) or detect(*args))
     spec = GridSpec(64)
     cartan = cartan_su(2)
     seed = standard_bubble(BubbleParams(scale=8.0), spec)
@@ -223,7 +242,11 @@ def test_supercritical_first_coupling_blows_up_from_bubble_seed():
     assert report.status == "Unbounded"
     trace = np.asarray(report.energy_trace)
     assert np.all(np.diff(trace) <= 0.0)
-    assert trace[-1] < trace[0] - MinimizeConfig().divergence_energy_drop
+    drop = MinimizeConfig().divergence_energy_drop
+    assert trace[-1] < trace[0] - drop
+    # one detector call per iterate past the drop line: the spots that
+    # certified the blow-up are reported, not computed again
+    assert len(calls) == np.sum(trace[1:] < trace[0] - drop)
     # the supercritical component carries the concentration
     assert report.concentration[0].mass > 0.9
     # and the spike sits where the seed put it
