@@ -201,6 +201,16 @@ def _fit_line_with_transient(logs: np.ndarray, vals: np.ndarray) -> SlopeFit:
     return SlopeFit(float(coef[0]), float(coef[1]), resid)
 
 
+def _sorted_scales(scales: Sequence[float]) -> list[float]:
+    """The scales in increasing order; at least four, spanning a factor of e^2."""
+    sc = sorted(float(s) for s in scales)
+    if len(sc) < 4:
+        raise ValueError("need at least four scales")
+    if sc[-1] / sc[0] < np.e**2:
+        raise ValueError("scales must span at least a factor of e^2")
+    return sc
+
+
 def fit_slopes(
     scales: Sequence[float],
     m: Sequence[float],
@@ -216,11 +226,7 @@ def fit_slopes(
     transient column.  The report records which scales were used.
     """
     mv = _check_couplings(m, 2)
-    sc = sorted(float(s) for s in scales)
-    if len(sc) < 4:
-        raise ValueError("need at least four scales")
-    if sc[-1] / sc[0] < np.e**2:
-        raise ValueError("scales must span at least a factor of e^2")
+    sc = _sorted_scales(scales)
 
     def tabulate(use):
         table = {k: [] for k in QUANTITY_KEYS}

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._csv import write_csv
-from .bubbles import QUANTITY_KEYS, asymptotic_slope_table, fit_slopes
+from .bubbles import QUANTITY_KEYS, _sorted_scales, asymptotic_slope_table, fit_slopes
 from .cartan import CartanMatrix, cartan_su
 from .grid import GridSpec
 from .minimizer import (
@@ -36,9 +36,10 @@ from .minimizer import (
     sweep,
     write_region_csv,
 )
-from .pohozaev import radius_scan, write_balance_csv
+from .pohozaev import _check_disks, radius_scan, write_balance_csv
 from .radial import (
     BlowUpError,
+    _check_settings,
     ball_pohozaev,
     check_mass_relation,
     flux_residuals,
@@ -334,28 +335,14 @@ def _precheck(config: RunConfig) -> None:
     if config.command in ("minimize", "pohozaev"):
         cartan_su(config.rank)
     if config.command == "pohozaev":
-        h = 1.0 / config.n
-        for r in config.values["radii"]:
-            if not 4 * h <= r <= 0.4:
-                raise ValueError("r must lie in [4h, 0.4]")
-        cx, cy = config.values["center"]
-        if not (0 <= cx < 1 and 0 <= cy < 1):
-            raise ValueError("center must lie in the unit torus")
+        _check_disks(config.values["radii"], config.values["center"], 1.0 / config.n)
     if config.command == "radial":
-        a0 = config.values["a0"]
-        cartan_su(len(a0))
-        if config.values["r_max"] < 10.0:
-            raise ValueError("r_max must be at least 10")
-        if not 1e-12 <= config.values["tol"] <= 1e-6:
-            raise ValueError("tol must lie in [1e-12, 1e-6]")
-        if config.values["nodes"] < 16:
-            raise ValueError("nodes must be at least 16")
+        cartan_su(len(config.values["a0"]))
+        _check_settings(
+            config.values["r_max"], config.values["tol"], config.values["nodes"]
+        )
     if config.command == "bubble":
-        scales = sorted(config.values["scales"])
-        if len(scales) < 4:
-            raise ValueError("need at least four scales")
-        if scales[-1] / scales[0] < math.e**2:
-            raise ValueError("scales must span at least a factor of e^2")
+        _sorted_scales(config.values["scales"])
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -15,8 +15,8 @@ L2 gradient of E in v has components
 
 with rho_j the normalized density exp(u_j) / int(exp(u_j)).
 
-`energy`, `energy_gradient` and the descent in the minimizer run one
-kernel, `evaluate`, built on the grid's spectral core.  Since E is
+`energy`, `energy_gradient` and the start of the minimizer's descent run
+one kernel, `evaluate`, built on the grid's spectral core.  Since E is
 invariant under adding a constant to any component, the kernel
 evaluates the zero-mean representative of v; its linear part is then
 zero up to roundoff.  `energy_u` keeps the u-form as an independent
@@ -163,17 +163,17 @@ def evaluate(v_stack: np.ndarray, amat: np.ndarray, mv: np.ndarray) -> Evaluatio
 
 
 def raw_gradient(
-    ev: Evaluation, amat: np.ndarray, mv: np.ndarray
+    rho: np.ndarray, neglap: np.ndarray, amat: np.ndarray, mv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """L2 gradient stack A (-lap v0 + s) and the source s = m (1 - rho) it uses."""
-    source = mv[:, None, None] * (1.0 - ev.rho)
-    return np.tensordot(amat, ev.neglap + source, axes=(1, 0)), source
+    source = mv[:, None, None] * (1.0 - rho)
+    return np.tensordot(amat, neglap + source, axes=(1, 0)), source
 
 
 def energy(
     v: MultiField, m: Sequence[float], cartan: CartanMatrix | None = None
 ) -> EnergyBreakdown:
-    """Energy in the v-parametrization, by the kernel the descent runs.
+    """Energy in the v-parametrization, by the kernel the descent starts from.
 
     It is evaluated at the zero-mean representative of v, so the linear
     part is zero up to roundoff whatever the means of v.
@@ -208,7 +208,8 @@ def energy_gradient(
     cartan = resolve_cartan(v.n_components, cartan)
     mv = _check_couplings(m, cartan.rank)
     amat = cartan.entries
-    grads, _ = raw_gradient(evaluate(v.stack(), amat, mv), amat, mv)
+    ev = evaluate(v.stack(), amat, mv)
+    grads, _ = raw_gradient(ev.rho, ev.neglap, amat, mv)
     return MultiField.from_array(v.spec, grads)
 
 

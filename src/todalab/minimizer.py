@@ -3,8 +3,14 @@
 The descent runs in the abstract parametrization with two layers of
 preconditioning: the inverse coupling matrix undoes the cross-component
 mixing and the zero-mean inverse Laplacian flattens the spectrum of the
-quadratic term.  Each accepted step is Armijo-backtracked on the true
-energy, so the recorded energy trace is non-increasing by construction.
+quadratic term.  The energy is evaluated in full once, at the start.
+Along each search line its change has a closed form (a quadratic in the
+step plus one log1p per component), which the Armijo backtracking tests
+directly: no trial step needs a transform, and no decrement is lost to
+the difference of two large energies.  An accepted step updates the
+state and the energy by that change, so each iteration costs one FFT
+pair (the preconditioner) and the recorded energy trace is non-increasing
+by construction.
 
 A run that ends far below its starting energy with nearly all of one
 component's normalized mass inside a small disk is reported as
@@ -12,6 +18,8 @@ Unbounded; this conjunction separates genuine concentration from the
 large but benign energy drops of relaxing a poorly chosen start.  The
 disk masses at all centers come from one FFT correlation with a cached
 disk-mask spectrum; ties go to the lexicographically smallest center.
+Inside the descent the detector runs only when the peak density times
+the disk area could reach the concentration threshold.
 """
 
 from __future__ import annotations
@@ -77,10 +85,9 @@ class NonFiniteEnergyError(RuntimeError):
 @dataclass(frozen=True)
 class MinimizeConfig:
     max_iters: int = 2000
-    # the raw stationarity residual bottoms out at 1.3-4.5e-6 on a
-    # 64-cell grid (energy decrements from the remaining high-frequency
-    # error drop below double precision, so the line search cannot push
-    # further); the default keeps 10x this tolerance above that floor
+    # the line search tests closed-form energy changes, not differences
+    # of total energies, so relaxation to a flat critical point is not cut
+    # off by cancellation; the raw residuals must reach 10x this value
     grad_tol: float = 1e-6
     step: float = 1.0
     # calibrated on the 64-cell grid: relaxing starts at couplings just
@@ -172,21 +179,30 @@ def minimize(
             raise ValueError("component count does not match coupling rank")
         v_stack = init.stack()
 
-    current = evaluate(v_stack, amat, mv)
-    energy = current.parts.total
+    start = evaluate(v_stack, amat, mv)
+    energy = start.parts.total
     trace = [energy]
     # the line search accepts only finite energies, so the start is the
     # one place a non-finite value can enter
     if not np.isfinite(energy):
         raise NonFiniteEnergyError("non-finite energy at iteration 0", trace)
+    # the loop state: zero-mean v0, u = A v0, -lap v0, log int exp(u_i) and
+    # the normalized densities, all updated in place along accepted steps
+    v0, u, neglap, lse, rho = start.v0, start.u, start.neglap, start.lse, start.rho
+    linear_weights = (amat @ mv)[:, None, None]
+    # no disk holds more than its area (the mask spectrum's zero mode, h^2
+    # times its cell count) times the peak density; the margin covers the
+    # detector's FFT roundoff, so skipping below it changes no decision
+    disk_area = _disk_spectrum(spec.n, config.concentration_radius)[0, 0]
+    detector_floor = config.concentration_mass * (1.0 - 1e-12) / disk_area
     step = config.step
     iterations = 0
     converged = False
     certified = None
 
     for _ in range(config.max_iters):
-        raw, source = raw_gradient(current, amat, mv)
-        precond = current.v0 + _inverse_neg_laplacian(source)
+        raw, source = raw_gradient(rho, neglap, amat, mv)
+        precond = v0 + _inverse_neg_laplacian(source)
         precond_norm = float(np.sqrt(cell_area * np.sum(precond**2)))
         raw_norms = np.sqrt(cell_area * np.sum(raw**2, axis=(1, 2)))
         if precond_norm < config.grad_tol and np.all(
@@ -200,36 +216,49 @@ def minimize(
         if slope >= 0:
             break  # numerical floor: no descent available
 
-        accepted = None
+        # along v0 + s d the energy changes by
+        #   s b1 + s^2 b2 - sum_i m_i log1p(h^2 sum rho_i expm1(s w_i)),  w = A d,
+        # which needs no transform and subtracts no two large energies;
+        # d = -(v0 + (-lap)^-1 source), so -lap d = -(-lap v0 + source - mean(source))
+        w = np.tensordot(amat, direction, axes=(1, 0))
+        neglap_d = -(neglap + source - source.mean(axis=(1, 2), keepdims=True))
+        b1 = cell_area * float(np.sum(w * neglap) + np.sum(linear_weights * direction))
+        b2 = 0.5 * cell_area * float(np.sum(w * neglap_d))
         while step > 1e-16 * config.step:
-            candidate = v_stack + step * direction
-            trial = evaluate(candidate, amat, mv)
-            trial_energy = trial.parts.total
-            if np.isfinite(trial_energy) and trial_energy <= energy + ARMIJO_C1 * step * slope:
-                accepted = (candidate, trial)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                growth = np.expm1(step * w)
+                masses = cell_area * np.sum(rho * growth, axis=(1, 2))
+                change = step * b1 + step * step * b2 - float(mv @ np.log1p(masses))
+            if np.isfinite(change) and change <= ARMIJO_C1 * step * slope:
                 break
             step *= BACKTRACK
-        if accepted is None:
-            break
-        v_stack, current = accepted
-        energy = current.parts.total
+        else:
+            break  # no acceptable step above the floor
+        v0 += step * direction
+        u += step * w
+        neglap += step * neglap_d
+        lse += np.log1p(masses)
+        rho *= 1.0 + growth
+        rho /= (1.0 + masses)[:, None, None]
+        energy += change
         trace.append(energy)
         iterations += 1
         step *= STEP_GROWTH
         # once the blow-up certificate (drop plus concentration) holds,
         # further descent only chases the same grid-limited spike
-        if energy < trace[0] - config.divergence_energy_drop:
+        past_drop_line = energy < trace[0] - config.divergence_energy_drop
+        if past_drop_line and rho.max() >= detector_floor:
             spots = _concentration_from_density(
-                current.rho, spec, config.concentration_radius
+                rho, spec, config.concentration_radius
             )
             if any(s.mass > config.concentration_mass for s in spots):
                 certified = spots
                 break
 
-    u_norm = current.u - current.lse[:, None, None]
+    u_norm = u - lse[:, None, None]
     final_u = MultiField(tuple(ScalarField(spec, comp) for comp in u_norm))
     spots = certified or _concentration_from_density(
-        current.rho, spec, config.concentration_radius
+        rho, spec, config.concentration_radius
     )
     dropped = trace[-1] < trace[0] - config.divergence_energy_drop
     if dropped and any(s.mass > config.concentration_mass for s in spots):

@@ -86,6 +86,16 @@ def _disk_integral(values: np.ndarray, mask: np.ndarray, area: float, r: float) 
     return mean * np.pi * r * r + fluct
 
 
+def _check_disks(radii: Sequence[float], center: tuple[float, float], h: float) -> None:
+    """The disk rules of disk_balance: every r in [4h, 0.4], center in the torus."""
+    for r in radii:
+        if not 4 * h <= r <= 0.4:
+            raise ValueError("r must lie in [4h, 0.4]")
+    cx, cy = center
+    if not (0 <= cx < 1 and 0 <= cy < 1):
+        raise ValueError("center must lie in the unit torus")
+
+
 def disk_balance(
     u: MultiField,
     m: Sequence[float],
@@ -104,11 +114,8 @@ def disk_balance(
     cartan = resolve_cartan(u.n_components, cartan)
     mv = _check_couplings(m, cartan.rank)
     h = spec.h
-    if not 4 * h <= r <= 0.4:
-        raise ValueError("r must lie in [4h, 0.4]")
     cx, cy = float(center[0]), float(center[1])
-    if not (0 <= cx < 1 and 0 <= cy < 1):
-        raise ValueError("center must lie in the unit torus")
+    _check_disks((r,), (cx, cy), h)
 
     stacked = u.stack()
     cell = h * h

@@ -110,6 +110,16 @@ class ShootingRow:
     relation_rel: float
 
 
+def _check_settings(r_max: float, tol: float, nodes: int) -> None:
+    """The integration settings integrate_radial accepts."""
+    if r_max < 10.0:
+        raise ValueError("r_max must be at least 10")
+    if not 1e-12 <= tol <= 1e-6:
+        raise ValueError("tol must lie in [1e-12, 1e-6]")
+    if nodes < 16:
+        raise ValueError("nodes must be at least 16")
+
+
 def integrate_radial(
     a0: Sequence[float],
     r_max: float = 1000.0,
@@ -128,12 +138,7 @@ def integrate_radial(
     start = np.asarray(a0, dtype=float)
     if start.ndim != 1 or start.size == 0 or not np.all(np.isfinite(start)):
         raise ValueError("initial values must be a finite vector")
-    if r_max < 10.0:
-        raise ValueError("r_max must be at least 10")
-    if not 1e-12 <= tol <= 1e-6:
-        raise ValueError("tol must lie in [1e-12, 1e-6]")
-    if nodes < 16:
-        raise ValueError("nodes must be at least 16")
+    _check_settings(r_max, tol, nodes)
     # the only scipy use in the package, imported here so that
     # `import todalab` and the grid commands never load it
     from scipy.integrate import solve_ivp

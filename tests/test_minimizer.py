@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from todalab.bubbles import BubbleParams, standard_bubble
 from todalab.cartan import cartan_su
-from todalab.functional import MultiField, energy, v_from_u
+from todalab.functional import MultiField, energy, evaluate, v_from_u
 from todalab.grid import (
     GridSpec,
     ScalarField,
@@ -25,6 +25,8 @@ from todalab.minimizer import (
     MinimizeConfig,
     MinimizeReport,
     NonFiniteEnergyError,
+    _bubble_seed,
+    _classify,
     _concentration_from_density,
     _disk_masses,
     classify_boundedness,
@@ -228,29 +230,127 @@ def test_same_seed_reproduces_trace_exactly():
 # blow-up past the threshold
 
 
-def test_supercritical_first_coupling_blows_up_from_bubble_seed(monkeypatch):
+def descend_counting_detector(monkeypatch, m, spec, init):
+    """minimize(m, spec, init), its detector calls, and the detector calls
+    the skip bound allows: one per iterate past the drop line whose peak
+    density times the disk's cell count reaches the threshold, plus the
+    call after the loop unless a blow-up was certified in it."""
     detect = minimizer._concentration_from_density
-    calls = []
+    gradient = minimizer.raw_gradient
+    calls, densities = [], []
     monkeypatch.setattr(minimizer, "_concentration_from_density",
                         lambda *args: calls.append(args) or detect(*args))
+    # the descent reads its density once per iteration and updates it in place
+    monkeypatch.setattr(minimizer, "raw_gradient",
+                        lambda rho, *args: densities.append(rho.copy())
+                        or gradient(rho, *args))
+    report = minimize(m, spec, init=init)
+    iterates = densities[1:]
+    if len(iterates) < report.iterations:  # stopped before reading the last one
+        iterates.append(np.exp(report.final_u.stack()))
+    assert len(iterates) == report.iterations
+    config = MinimizeConfig()
+    cells = brute_disk_cell_count(spec.n, config.concentration_radius)
+    reachable = np.array([
+        spec.h**2 * rho.max() * cells >= config.concentration_mass * (1.0 - 1e-12)
+        for rho in iterates
+    ])
+    trace = np.asarray(report.energy_trace)
+    past = trace[1:] < trace[0] - config.divergence_energy_drop
+    expected = int(np.sum(past & reachable)) + (report.status != "Unbounded")
+    return report, len(calls), expected
+
+
+def test_supercritical_first_coupling_blows_up_from_bubble_seed(monkeypatch):
     spec = GridSpec(64)
     cartan = cartan_su(2)
     seed = standard_bubble(BubbleParams(scale=8.0), spec)
-    report = minimize(
-        (5 * PI, 3 * PI), spec, init=v_from_u(seed, cartan), cartan=cartan
+    report, calls, expected = descend_counting_detector(
+        monkeypatch, (5 * PI, 3 * PI), spec, v_from_u(seed, cartan)
     )
     assert report.status == "Unbounded"
     trace = np.asarray(report.energy_trace)
     assert np.all(np.diff(trace) <= 0.0)
     drop = MinimizeConfig().divergence_energy_drop
     assert trace[-1] < trace[0] - drop
-    # one detector call per iterate past the drop line: the spots that
-    # certified the blow-up are reported, not computed again
-    assert len(calls) == np.sum(trace[1:] < trace[0] - drop)
+    # the spots that certified the blow-up are reported, not computed again
+    assert calls == expected
     # the supercritical component carries the concentration
     assert report.concentration[0].mass > 0.9
     # and the spike sits where the seed put it
     assert report.concentration[0].center == (0.5, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form line search
+
+
+def sweep_axis(lo):
+    """Coupling axis of `sweep --m-grid 9x9 --range {lo}pi:{lo + 4}pi`."""
+    return np.linspace(lo * PI, (lo + 4.0) * PI, 9)
+
+
+@pytest.mark.parametrize(
+    "m", [(3 * PI, 3 * PI), (4.5 * PI, 3 * PI), (3.4783 * PI, 3.4783 * PI)]
+)
+def test_accumulated_energy_matches_fresh_evaluation(monkeypatch, m):
+    # the descent adds closed-form changes to its start energy; a fresh
+    # evaluation of the state it ends in must give the same total
+    descend = minimizer.minimize
+    reports = []
+    monkeypatch.setattr(minimizer, "minimize",
+                        lambda *args, **kwargs: reports.append(descend(*args, **kwargs))
+                        or reports[-1])
+    spec = GridSpec(64)
+    cartan = cartan_su(2)
+    _classify(m, spec, cartan=cartan)
+    assert any(r.iterations > 0 for r in reports)
+    for r in reports:
+        fresh = evaluate(
+            v_from_u(r.final_u, cartan).stack(), cartan.entries, np.asarray(m)
+        ).parts.total
+        scale = max(1.0, abs(r.energy_trace[0]))
+        assert abs(fresh - r.energy_trace[-1]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "lo, cell, expected",
+    [
+        (1.068, (2, 5), "Bounded"),  # (2.068pi, 3.568pi)
+        (0.9783, (5, 5), "Bounded"),  # (3.4783pi, 3.4783pi)
+        (0.9529, (1, 7), "Unbounded"),  # (1.4529pi, 4.4529pi)
+    ],
+)
+def test_seeds_relaxing_to_flat_state_classify_as_the_paper_says(lo, cell, expected):
+    # one seed in each of these cells relaxes to the flat critical point,
+    # where the decrements fall below the precision of a total energy
+    axis = sweep_axis(lo)
+    m = (axis[cell[0]], axis[cell[1]])
+    assert classify_boundedness(m, GridSpec(64)) == expected
+
+
+def test_bubble_seed_relaxes_to_flat_state_and_converges():
+    axis = sweep_axis(1.068)
+    m = (axis[2], axis[5])
+    spec = GridSpec(64)
+    cartan = cartan_su(2)
+    init = v_from_u(_bubble_seed(spec, 64.0, 1), cartan)
+    report = minimize(m, spec, init=init, cartan=cartan)
+    assert report.status == "Converged"
+    assert max(report.el_residuals) < 10 * MinimizeConfig().grad_tol
+
+
+def test_detector_skipped_while_no_disk_can_reach_the_threshold(monkeypatch):
+    # a rough start relaxes through a large drop with its density spread out
+    spec = GridSpec(32)
+    report, calls, expected = descend_counting_detector(
+        monkeypatch, (3 * PI, 3 * PI), spec, random_init(spec, 1, amplitude=4.0)
+    )
+    assert report.status == "Converged"
+    assert calls == expected
+    trace = np.asarray(report.energy_trace)
+    drop = MinimizeConfig().divergence_energy_drop
+    assert calls < np.sum(trace[1:] < trace[0] - drop)
 
 
 def test_non_finite_energy_raises_with_trace():
