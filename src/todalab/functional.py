@@ -101,9 +101,13 @@ class MultiField:
         return cls(tuple(ScalarField(spec, z) for _ in range(n_components)))
 
 
+def _mix(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_j matrix_ij stack_j for an (N, n, n) stack, as one matrix product."""
+    return (matrix @ stack.reshape(len(stack), -1)).reshape(stack.shape)
+
+
 def _linear_combination(f: MultiField, matrix: np.ndarray) -> MultiField:
-    vals = np.tensordot(matrix, f.stack(), axes=(1, 0))
-    return MultiField.from_array(f.spec, vals)
+    return MultiField.from_array(f.spec, _mix(matrix, f.stack()))
 
 
 def u_from_v(v: MultiField, cartan: CartanMatrix | None = None) -> MultiField:
@@ -150,7 +154,7 @@ def evaluate(v_stack: np.ndarray, amat: np.ndarray, mv: np.ndarray) -> Evaluatio
     n = v_stack.shape[-1]
     cell_area = (1.0 / n) ** 2
     v0 = _centered(v_stack)
-    u = np.tensordot(amat, v0, axes=(1, 0))
+    u = _mix(amat, v0)
     lse = _log_integral_exp(u)
     rho = np.exp(u - lse[:, None, None])
     neglap = _apply_symbol(v0, _neglap_symbol(n))
@@ -167,7 +171,7 @@ def raw_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """L2 gradient stack A (-lap v0 + s) and the source s = m (1 - rho) it uses."""
     source = mv[:, None, None] * (1.0 - rho)
-    return np.tensordot(amat, neglap + source, axes=(1, 0)), source
+    return _mix(amat, neglap + source), source
 
 
 def energy(
@@ -223,7 +227,7 @@ def precondition_gradient(
     invertible on constants.
     """
     cartan = resolve_cartan(g.n_components, cartan)
-    mixed = np.tensordot(cartan.inverse_entries, g.stack(), axes=(1, 0))
+    mixed = _mix(cartan.inverse_entries, g.stack())
     means = mixed.mean(axis=(1, 2), keepdims=True)
     return MultiField.from_array(g.spec, _inverse_neg_laplacian(mixed) + means)
 
@@ -249,5 +253,5 @@ def euler_lagrange_residuals(
     if np.any(np.abs(_log_integral_exp(stacked)) >= 1e-8):
         raise ValueError("normalize first")
     sources = mv[:, None, None] * (np.exp(stacked) - 1.0)
-    res = _neg_laplacian(stacked) - np.tensordot(cartan.entries, sources, axes=(1, 0))
+    res = _neg_laplacian(stacked) - _mix(cartan.entries, sources)
     return np.sqrt(np.sum(res**2, axis=(1, 2)) * u.spec.h**2)

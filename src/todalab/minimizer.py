@@ -20,12 +20,16 @@ disk masses at all centers come from one FFT correlation with a cached
 disk-mask spectrum; ties go to the lexicographically smallest center.
 Inside the descent the detector runs only when the peak density times
 the disk area could reach the concentration threshold.
+
+A sweep classifies its cells on a fork pool with one worker per CPU in
+the affinity mask; each cell runs the same per-cell code as in-process.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +38,7 @@ from .cartan import CartanMatrix, _check_couplings, resolve_cartan
 from ._csv import write_csv
 from .functional import (
     MultiField,
+    _mix,
     euler_lagrange_residuals,
     evaluate,
     raw_gradient,
@@ -80,6 +85,10 @@ class NonFiniteEnergyError(RuntimeError):
     def __init__(self, message: str, energy_trace: Sequence[float]):
         super().__init__(message)
         self.energy_trace = tuple(float(e) for e in energy_trace)
+
+    def __reduce__(self):
+        # both arguments, so the error survives the trip out of a pool worker
+        return type(self), (self.args[0], self.energy_trace)
 
 
 @dataclass(frozen=True)
@@ -220,7 +229,7 @@ def minimize(
         #   s b1 + s^2 b2 - sum_i m_i log1p(h^2 sum rho_i expm1(s w_i)),  w = A d,
         # which needs no transform and subtracts no two large energies;
         # d = -(v0 + (-lap)^-1 source), so -lap d = -(-lap v0 + source - mean(source))
-        w = np.tensordot(amat, direction, axes=(1, 0))
+        w = _mix(amat, direction)
         neglap_d = -(neglap + source - source.mean(axis=(1, 2), keepdims=True))
         b1 = cell_area * float(np.sum(w * neglap) + np.sum(linear_weights * direction))
         b2 = 0.5 * cell_area * float(np.sum(w * neglap_d))
@@ -387,6 +396,26 @@ class SweepRow:
     conc2: float
 
 
+def _sweep_row(
+    m: tuple[float, float],
+    spec: GridSpec,
+    config: Optional[MinimizeConfig],
+    cartan: Optional[CartanMatrix],
+) -> SweepRow:
+    """One sweep cell: its classification and the deciding run's numbers."""
+    m1, m2 = m
+    status, report = _classify((m1, m2), spec, config, cartan)
+    return SweepRow(
+        m1=float(m1),
+        m2=float(m2),
+        status=status,
+        energy=report.energy_trace[-1],
+        max_field=report.max_field,
+        conc1=report.concentration[0].mass,
+        conc2=report.concentration[1].mass,
+    )
+
+
 def sweep(
     couplings: Sequence[tuple[float, float]],
     spec: GridSpec,
@@ -396,28 +425,27 @@ def sweep(
     """Classify each coupling pair; rows keep the input order.
 
     Each point is classified independently (pure per-point work), so
-    the map cannot depend on evaluation order.  The reported energy,
-    max field, and concentrations come from the deciding run: the
-    blow-up run for Unbounded points, the flat-start minimizer for
-    Bounded ones, and the first unfinished run for Inconclusive ones.
+    the map cannot depend on evaluation order.  The cells run on a fork
+    pool with one worker per CPU in the affinity mask (in-process when
+    that is one CPU or there is one cell); every row is computed by the
+    same code either way, so the rows and region.csv keep the same
+    bytes.  The reported energy, max field, and concentrations come from
+    the deciding run: the blow-up run for Unbounded points, the
+    flat-start minimizer for Bounded ones, and the first unfinished run
+    for Inconclusive ones.
     """
     if len(couplings) == 0:
         raise ValueError("empty coupling list")
-    rows = []
-    for m1, m2 in couplings:
-        status, report = _classify((m1, m2), spec, config, cartan)
-        rows.append(
-            SweepRow(
-                m1=float(m1),
-                m2=float(m2),
-                status=status,
-                energy=report.energy_trace[-1],
-                max_field=report.max_field,
-                conc1=report.concentration[0].mass,
-                conc2=report.concentration[1].mass,
-            )
-        )
-    return tuple(rows)
+    row = partial(_sweep_row, spec=spec, config=config, cartan=cartan)
+    workers = min(len(os.sched_getaffinity(0)), len(couplings))
+    if workers == 1:
+        return tuple(map(row, couplings))
+    # imported here, so processes that never start a pool skip its import
+    import multiprocessing
+
+    # chunks of one cell balance cells of unequal cost; imap keeps the order
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return tuple(pool.imap(row, couplings, chunksize=1))
 
 
 def write_region_csv(rows: Sequence[SweepRow], destination) -> None:

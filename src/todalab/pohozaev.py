@@ -20,14 +20,14 @@ fluctuation part touches the cell mask, keeping constant fields exact.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .cartan import CartanMatrix, _check_couplings, resolve_cartan
 from ._csv import write_csv
 from .functional import MultiField
-from .grid import _log_integral_exp, _periodic_dist_sq, _spatial_gradient
+from .grid import GridSpec, _log_integral_exp, _periodic_dist_sq, _spatial_gradient
 
 __all__ = [
     "DiskBalance",
@@ -96,36 +96,47 @@ def _check_disks(radii: Sequence[float], center: tuple[float, float], h: float) 
         raise ValueError("center must lie in the unit torus")
 
 
-def disk_balance(
+class _CheckedState(NamedTuple):
+    """A normalized, resolved state and the derivatives every disk reuses."""
+
+    stacked: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+    mv: np.ndarray
+    cartan: CartanMatrix
+
+
+def _checked_state(
     u: MultiField,
     m: Sequence[float],
     center: tuple[float, float],
-    r: float,
-    cartan: Optional[CartanMatrix] = None,
-) -> DiskBalance:
-    """Evaluate both sides of the disk identity for a normalized state.
-
-    The left side is twice the coupling-weighted exponential mass of the
-    disk; the right side collects the boundary stress, the boundary
-    exponential and linear terms, and the volume linear term.  A zero
-    residual (up to quadrature error) certifies local criticality.
-    """
-    spec = u.spec
+    radii: Sequence[float],
+    cartan: Optional[CartanMatrix],
+) -> _CheckedState:
+    """Check the couplings, disks and state once, then take its gradient."""
     cartan = resolve_cartan(u.n_components, cartan)
     mv = _check_couplings(m, cartan.rank)
-    h = spec.h
-    cx, cy = float(center[0]), float(center[1])
-    _check_disks((r,), (cx, cy), h)
+    _check_disks(radii, center, u.spec.h)
 
     stacked = u.stack()
-    cell = h * h
     if np.any(np.abs(_log_integral_exp(stacked)) > 1e-8):
         raise ValueError("normalize first")
 
     gx, gy = _spatial_gradient(stacked)
     steepest = float(np.max(np.hypot(gx, gy)))
-    if steepest * h > MAX_RESOLVED_GRADIENT:
+    if steepest * u.spec.h > MAX_RESOLVED_GRADIENT:
         raise ValueError("refine grid")
+    return _CheckedState(stacked, gx, gy, mv, cartan)
+
+
+def _balance(
+    state: _CheckedState, spec: GridSpec, center: tuple[float, float], r: float
+) -> DiskBalance:
+    """Both sides of the disk identity on one disk of a checked state."""
+    stacked, gx, gy, mv, cartan = state
+    h = spec.h
+    cx, cy = center
+    cell = h * h
 
     # boundary sampling: dense enough that the trapezoid rule resolves
     # every grid cell the circle crosses
@@ -184,6 +195,25 @@ def disk_balance(
     )
 
 
+def disk_balance(
+    u: MultiField,
+    m: Sequence[float],
+    center: tuple[float, float],
+    r: float,
+    cartan: Optional[CartanMatrix] = None,
+) -> DiskBalance:
+    """Evaluate both sides of the disk identity for a normalized state.
+
+    The left side is twice the coupling-weighted exponential mass of the
+    disk; the right side collects the boundary stress, the boundary
+    exponential and linear terms, and the volume linear term.  A zero
+    residual (up to quadrature error) certifies local criticality.
+    """
+    center = (float(center[0]), float(center[1]))
+    state = _checked_state(u, m, center, (r,), cartan)
+    return _balance(state, u.spec, center, r)
+
+
 def radius_scan(
     u: MultiField,
     m: Sequence[float],
@@ -191,10 +221,15 @@ def radius_scan(
     radii: Sequence[float],
     cartan: Optional[CartanMatrix] = None,
 ) -> tuple[DiskBalance, ...]:
-    """Evaluate the balance on a family of concentric disks."""
+    """Evaluate the balance on a family of concentric disks.
+
+    The checks and the state's gradient run once for the whole family.
+    """
     if len(radii) == 0:
         raise ValueError("radii must be non-empty")
-    return tuple(disk_balance(u, m, center, r, cartan=cartan) for r in radii)
+    center = (float(center[0]), float(center[1]))
+    state = _checked_state(u, m, center, radii, cartan)
+    return tuple(_balance(state, u.spec, center, r) for r in radii)
 
 
 def write_balance_csv(rows: Sequence[DiskBalance], destination) -> None:

@@ -1,6 +1,9 @@
 """Descent driver checks: convergence, blow-up certificate, classification."""
 
 import io
+import os
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from todalab.minimizer import (
     MinimizeConfig,
     MinimizeReport,
     NonFiniteEnergyError,
+    SweepRow,
     _bubble_seed,
     _classify,
     _concentration_from_density,
@@ -368,6 +372,15 @@ def test_non_finite_energy_raises_with_trace():
     assert not np.isfinite(err.energy_trace[0])
 
 
+def test_non_finite_energy_error_survives_pickling():
+    # pool workers hand their exceptions to the parent by pickle
+    err = NonFiniteEnergyError("non-finite energy at iteration 3", [1.5, -2.0, np.inf])
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is NonFiniteEnergyError
+    assert str(back) == "non-finite energy at iteration 3"
+    assert back.energy_trace == (1.5, -2.0, np.inf)
+
+
 # ---------------------------------------------------------------------------
 # concentration detection
 
@@ -530,6 +543,81 @@ def test_sweep_rejects_empty_input():
     spec = GridSpec(32)
     with pytest.raises(ValueError, match="empty"):
         sweep([], spec)
+
+
+def use_cpus(monkeypatch, count):
+    """Make the affinity mask report `count` CPUs (the sweep's worker count)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+# Bounded and Unbounded cells, each cheap at n = 32
+POOL_CELLS = [
+    (3 * PI, 3 * PI),
+    (4.5 * PI, 2 * PI),
+    (3.5 * PI, PI),
+    (2 * PI, 4.5 * PI),
+    (3.9 * PI, 3.9 * PI),
+    (5 * PI, 5 * PI),
+]
+
+
+def test_pool_sweep_matches_in_process_classification(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    spec = GridSpec(32)
+    expected = []
+    for m1, m2 in POOL_CELLS:
+        status, report = _classify((m1, m2), spec)
+        expected.append(
+            SweepRow(
+                m1=m1,
+                m2=m2,
+                status=status,
+                energy=report.energy_trace[-1],
+                max_field=report.max_field,
+                conc1=report.concentration[0].mass,
+                conc2=report.concentration[1].mass,
+            )
+        )
+    assert {row.status for row in expected} == {"Bounded", "Unbounded"}
+    assert list(sweep(POOL_CELLS, spec)) == expected
+    assert list(sweep(POOL_CELLS[::-1], spec)) == expected[::-1]
+
+
+def pid_classify(m, spec, config=None, cartan=None):
+    """Stand-in for _classify whose status names the process that ran it."""
+    spot = ConcentrationSpot(mass=0.0, center=(0.0, 0.0))
+    report = SimpleNamespace(energy_trace=(0.0,), max_field=0.0, concentration=(spot, spot))
+    return str(os.getpid()), report
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_uses_a_pool_only_with_more_than_one_cpu(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(minimizer, "_classify", pid_classify)
+    spec = GridSpec(32)
+    pids = {row.status for row in sweep(POOL_CELLS, spec)}
+    assert (str(os.getpid()) in pids) == (cpus == 1)
+    # one cell never starts a pool
+    (row,) = sweep(POOL_CELLS[:1], spec)
+    assert row.status == str(os.getpid())
+
+
+def test_worker_error_reaches_the_caller_with_its_trace(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    classify = minimizer._classify
+
+    def failing_classify(m, spec, config=None, cartan=None):
+        if m == POOL_CELLS[1]:
+            raise NonFiniteEnergyError("non-finite energy at iteration 2", [3.0, 1.0, np.nan])
+        return classify(m, spec, config, cartan)
+
+    monkeypatch.setattr(minimizer, "_classify", failing_classify)
+    with pytest.raises(NonFiniteEnergyError) as excinfo:
+        sweep(POOL_CELLS[:3], GridSpec(32))
+    err = excinfo.value
+    assert str(err) == "non-finite energy at iteration 2"
+    assert err.energy_trace[:2] == (3.0, 1.0)
+    assert len(err.energy_trace) == 3 and np.isnan(err.energy_trace[2])
 
 
 def test_region_csv_roundtrip(tmp_path):

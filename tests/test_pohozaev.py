@@ -8,6 +8,7 @@ import pytest
 from todalab.bubbles import BubbleParams, standard_bubble
 from todalab.functional import MultiField
 from todalab.grid import GridSpec, ScalarField, log_integral_exp
+import todalab.pohozaev as pohozaev
 from todalab.minimizer import MinimizeConfig, minimize
 from todalab.pohozaev import (
     BALANCE_CSV_HEADER,
@@ -198,6 +199,28 @@ def test_radius_scan_and_csv_layout():
     assert float(first[2]) == pytest.approx(0.1)
     with pytest.raises(ValueError, match="radii must be non-empty"):
         radius_scan(u, (3 * PI, 3 * PI), (0.5, 0.5), ())
+
+
+def test_radius_scan_checks_once_and_matches_disk_balance(monkeypatch):
+    spec = GridSpec(64)
+    u = wave_state(spec, 0.3)
+    m = (3 * PI, 2.5 * PI)
+    radii = (0.1, 0.15, 0.2, 0.3)
+    singles = [disk_balance(u, m, (0.4, 0.6), r) for r in radii]
+    gradient = pohozaev._spatial_gradient
+    calls = []
+
+    def counting_gradient(stacked):
+        calls.append(1)
+        return gradient(stacked)
+
+    monkeypatch.setattr(pohozaev, "_spatial_gradient", counting_gradient)
+    assert list(radius_scan(u, m, (0.4, 0.6), radii)) == singles
+    assert len(calls) == 1
+    # a bad radius anywhere in the family fails before any disk is evaluated
+    with pytest.raises(ValueError, match=r"r must lie in \[4h, 0.4\]"):
+        radius_scan(u, m, (0.4, 0.6), (0.1, 0.45))
+    assert len(calls) == 1
 
 
 def test_to_dict_round_trips_fields():
