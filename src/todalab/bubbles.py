@@ -63,8 +63,19 @@ class BubbleParams:
     def __post_init__(self):
         if not np.isfinite(self.scale) or self.scale <= 1.0:
             raise ValueError("scale must exceed 1")
-        if not 0 < self.flat_radius <= 0.5:
-            raise ValueError("flat_radius must lie in (0, 0.5]")
+        _check_flat_radius(self.flat_radius)
+
+
+def _check_flat_radius(flat_radius: float) -> None:
+    """The truncation radius rule, NaN included."""
+    if not 0 < flat_radius <= 0.5:
+        raise ValueError("flat_radius must lie in (0, 0.5]")
+
+
+def _check_scale(scale: float) -> None:
+    """The profile scale rule of bubble_quantities, NaN and inf included."""
+    if not 2.0 <= scale < np.inf:
+        raise ValueError("scale must be finite and at least 2")
 
 
 def standard_bubble(
@@ -105,11 +116,9 @@ def bubble_quantities(
     pairings are fixed multiples of the first.
     """
     mv = _check_couplings(m, 2)
-    if scale < 2.0:
-        raise ValueError("scale must be at least 2")
+    _check_scale(scale)
+    _check_flat_radius(flat_radius)
     d = flat_radius
-    if not 0 < d <= 0.5:
-        raise ValueError("flat_radius must lie in (0, 0.5]")
     a = scale**2 * np.pi
     s = a * d**2
     log_scale = float(np.log(scale))
@@ -206,6 +215,8 @@ def _sorted_scales(scales: Sequence[float]) -> list[float]:
     sc = sorted(float(s) for s in scales)
     if len(sc) < 4:
         raise ValueError("need at least four scales")
+    for s in sc:
+        _check_scale(s)
     if sc[-1] / sc[0] < np.e**2:
         raise ValueError("scales must span at least a factor of e^2")
     return sc

@@ -26,8 +26,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._csv import write_csv
-from .bubbles import QUANTITY_KEYS, _sorted_scales, asymptotic_slope_table, fit_slopes
-from .cartan import CartanMatrix, cartan_su
+from .bubbles import (
+    QUANTITY_KEYS,
+    _check_flat_radius,
+    _sorted_scales,
+    asymptotic_slope_table,
+    fit_slopes,
+)
+from .cartan import CartanMatrix, _check_couplings, cartan_su
 from .grid import GridSpec
 from .minimizer import (
     MinimizeConfig,
@@ -328,21 +334,40 @@ def resolve_config(command: str, cli_raw: dict[str, Optional[str]],
     return RunConfig(command=command, raw=raw, values=values)
 
 
+def _minimize_config(config: RunConfig) -> MinimizeConfig:
+    """The descent settings of a minimize, sweep or pohozaev run."""
+    given = {k: config.values[k] for k in ("max_iters", "grad_tol") if k in config.values}
+    return MinimizeConfig(seed=config.seed, **given)
+
+
 def _precheck(config: RunConfig) -> None:
-    """Fail fast on module preconditions before any compute starts."""
+    """Fail fast on module preconditions before any compute starts.
+
+    Each rule is the guarded module's own validator, so the two cannot
+    drift apart.
+    """
     if config.command in ("minimize", "sweep", "pohozaev"):
         GridSpec(config.n)
+        _minimize_config(config)
     if config.command in ("minimize", "pohozaev"):
         cartan_su(config.rank)
+        _check_couplings(config.couplings, config.rank)
+    if config.command in ("bubble", "identities"):
+        # the bubble family and its slope table are rank 2
+        _check_couplings(config.couplings, 2)
     if config.command == "pohozaev":
         _check_disks(config.values["radii"], config.values["center"], 1.0 / config.n)
     if config.command == "radial":
         cartan_su(len(config.values["a0"]))
         _check_settings(
-            config.values["r_max"], config.values["tol"], config.values["nodes"]
+            config.values["a0"],
+            config.values["r_max"],
+            config.values["tol"],
+            config.values["nodes"],
         )
     if config.command == "bubble":
         _sorted_scales(config.values["scales"])
+        _check_flat_radius(config.values["flat_radius"])
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -371,12 +396,7 @@ def _write_manifest(config: RunConfig, wall_time: float) -> None:
 
 def _run_minimize(config: RunConfig) -> int:
     spec = GridSpec(config.n)
-    mc = MinimizeConfig(
-        max_iters=config.values["max_iters"],
-        grad_tol=config.values["grad_tol"],
-        seed=config.seed,
-    )
-    report = minimize(config.couplings, spec, config=mc)
+    report = minimize(config.couplings, spec, config=_minimize_config(config))
     payload = report.to_dict(include_fields=not config.values["summary_only"])
     payload["m"] = list(config.couplings)
     payload["n"] = config.n
@@ -391,7 +411,7 @@ def _run_sweep(config: RunConfig) -> int:
     axis1 = np.linspace(lo, hi, k1)
     axis2 = np.linspace(lo, hi, k2)
     couplings = [(float(m1), float(m2)) for m1 in axis1 for m2 in axis2]
-    rows = sweep(couplings, spec, config=MinimizeConfig(seed=config.seed))
+    rows = sweep(couplings, spec, config=_minimize_config(config))
     write_region_csv(rows, os.path.join(config.out, "region.csv"))
     return 0
 
@@ -449,9 +469,7 @@ def _run_radial(config: RunConfig) -> int:
 
 def _run_pohozaev(config: RunConfig) -> int:
     spec = GridSpec(config.n)
-    report = minimize(
-        config.couplings, spec, config=MinimizeConfig(seed=config.seed)
-    )
+    report = minimize(config.couplings, spec, config=_minimize_config(config))
     balances = radius_scan(
         report.final_u,
         config.couplings,

@@ -111,12 +111,15 @@ class MinimizeConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         for name in ("grad_tol", "step", "divergence_energy_drop"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            # written so that NaN fails too
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 < self.concentration_radius <= 0.5:
             raise ValueError("concentration_radius must lie in (0, 0.5]")
         if not 0.5 < self.concentration_mass < 1:
             raise ValueError("concentration_mass must lie in (0.5, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

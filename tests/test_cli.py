@@ -191,6 +191,39 @@ def test_radial_validation_exits_2(tmp_path, capsys):
     assert "r_max must be at least 10" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_radial_stall_on_the_first_step_is_a_numerical_failure(tmp_path, capsys):
+    # a steep start shrinks the first step below the spacing of floats
+    # before any output node is reached
+    code, _ = run(tmp_path, "radial", "--a0", "80,0")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "numerical failure: integration stalled near radius 0.0001\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("minimize", "--m", "nan,3pi"), "couplings must be positive and finite"),
+        (("minimize", "--max-iters", "-1"), "max_iters must be positive"),
+        (("minimize", "--grad-tol", "nan"), "grad_tol must be positive and finite"),
+        (("minimize", "--seed", "-1"), "seed must be non-negative"),
+        (("bubble", "--flat-radius", "nan"), "flat_radius must lie in (0, 0.5]"),
+        (("bubble", "--m", "inf,3pi"), "couplings must be positive and finite"),
+        (("bubble", "--scales", "nan,e2,e3,e4"), "scale must be finite and at least 2"),
+        (("identities", "--m", "nan,3pi"), "couplings must be positive and finite"),
+        (("radial", "--r-max", "nan"), "r_max must be at least 10 and finite"),
+        (("radial", "--r-max", "inf"), "r_max must be at least 10 and finite"),
+        (("radial", "--a0", "nan,0"), "initial values must be a finite vector"),
+    ],
+)
+def test_bad_settings_exit_2_before_compute(tmp_path, capsys, args, message):
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_pohozaev_command_scans_radii(tmp_path):
     code, out = run(
         tmp_path, "pohozaev", "--n", "32", "--radii", "0.15,0.2"
@@ -253,7 +286,7 @@ def test_resolve_config_rejects_bad_values():
 
 
 def test_import_and_grid_commands_leave_scipy_unloaded(tmp_path):
-    # only the radial solver needs scipy, and it imports it when called
+    # scipy is a test dependency only: the radial solver is in-repo
     script = "\n".join([
         "import sys, todalab",
         "assert 'scipy' not in sys.modules, 'import todalab loaded scipy'",
@@ -261,6 +294,9 @@ def test_import_and_grid_commands_leave_scipy_unloaded(tmp_path):
         f"assert todalab.main(['pohozaev', '--n', '32', '--radii', '0.2',"
         f" '--out', {str(tmp_path / 'p')!r}]) == 0",
         "assert 'scipy' not in sys.modules, 'a grid command loaded scipy'",
+        f"assert todalab.main(['radial', '--out', {str(tmp_path / 'r')!r}]) == 0",
+        f"assert todalab.main(['identities', '--out', {str(tmp_path / 'i')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'a radial command loaded scipy'",
     ])
     src = Path(todalab.__file__).resolve().parents[1]
     done = subprocess.run(

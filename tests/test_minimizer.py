@@ -106,6 +106,9 @@ def test_config_rejects_bad_values():
         MinimizeConfig(step=-1.0)
     with pytest.raises(ValueError):
         MinimizeConfig(divergence_energy_drop=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MinimizeConfig(grad_tol=bad)
     with pytest.raises(ValueError):
         MinimizeConfig(concentration_radius=0.0)
     with pytest.raises(ValueError):

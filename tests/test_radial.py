@@ -4,10 +4,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from scipy.integrate import solve_ivp
 
-from todalab.cartan import CartanMatrix, cartan_su
+from todalab.cartan import CartanMatrix, cartan_su, resolve_cartan
 from todalab.radial import (
+    SERIES_RADIUS,
     BlowUpError,
+    _series_state,
+    _state_at,
     asymptotic_slopes,
     ball_pohozaev,
     check_mass_relation,
@@ -20,6 +25,13 @@ from todalab.radial import (
 
 PI = np.pi
 EIGHT_PI = 8.0 * np.pi
+
+# the --corrupt-cartan matrix of the identity suite, and an anti-damped
+# single component u'' + u'/r = +2 e^u with no global solution
+CORRUPT = CartanMatrix(
+    2, np.array([[2.0, -0.9], [-0.9, 2.0]]), np.linalg.inv([[2.0, -0.9], [-0.9, 2.0]])
+)
+ANTI_DAMPED = CartanMatrix(1, np.array([[-2.0]]), np.array([[-0.5]]))
 
 
 # Symmetric ansatz: with u1 = u2 = w the coupled system collapses to
@@ -157,12 +169,92 @@ def test_scaling_covariance():
 
 
 def test_blow_up_guard_reports_radius():
-    # an anti-damped single component u'' + u'/r = +2 e^u has no global
-    # solution; the guard must stop the run and report where
-    bad = CartanMatrix(1, np.array([[-2.0]]), np.array([[-0.5]]))
+    # the guard must stop the anti-damped run and report where
     with pytest.raises(BlowUpError) as excinfo:
-        integrate_radial((0.0,), cartan=bad)
+        integrate_radial((0.0,), cartan=ANTI_DAMPED)
     assert 1e-4 < excinfo.value.radius < 1000.0
+
+
+def reference_solve_ivp(a0, r_max=1000.0, tol=1e-10, cartan=None, nodes=600):
+    """integrate_radial's former integrator call: scipy's DOP853."""
+    start = np.asarray(a0, dtype=float)
+    cartan = resolve_cartan(start.size, cartan)
+    amat = cartan.entries
+    rank = cartan.rank
+    y0 = np.concatenate(_series_state(start, amat, SERIES_RADIUS))
+
+    def rhs(t, y):
+        weights = np.exp(y[:rank] + 2.0 * t)
+        return np.concatenate(
+            [y[rank : 2 * rank], -(amat @ weights), 2.0 * np.pi * weights]
+        )
+
+    guard = max(50.0, float(start.max()) + 10.0)
+
+    def blow_guard(t, y):
+        return guard - y[:rank].max()
+
+    blow_guard.terminal = True
+    blow_guard.direction = -1.0
+
+    t_span = (np.log(SERIES_RADIUS), np.log(r_max))
+    t_eval = np.linspace(t_span[0], t_span[1], nodes)
+    return solve_ivp(
+        rhs,
+        t_span,
+        y0,
+        method="DOP853",
+        rtol=tol,
+        atol=tol,
+        t_eval=t_eval,
+        dense_output=True,
+        events=blow_guard,
+    )
+
+
+@st.composite
+def radial_runs(draw):
+    corrupt = draw(st.booleans())
+    rank = 2 if corrupt else draw(st.integers(1, 3))
+    a0 = tuple(draw(st.lists(st.floats(-2.0, 1.5), min_size=rank, max_size=rank)))
+    return dict(
+        a0=a0,
+        r_max=draw(st.floats(10.0, 2000.0)),
+        tol=draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6])),
+        nodes=draw(st.integers(16, 800)),
+        cartan=CORRUPT if corrupt else None,
+    )
+
+
+@given(run=radial_runs())
+@example(run=dict(a0=(0.0, 0.0), r_max=1000.0, tol=1e-10, nodes=600, cartan=None))
+@example(run=dict(a0=(0.0, -1.5), r_max=1000.0, tol=1e-10, nodes=600, cartan=CORRUPT))
+@example(run=dict(a0=(0.0,), r_max=10.0, tol=1e-12, nodes=16, cartan=None))
+@example(run=dict(a0=(1.5, -2.0, 0.3), r_max=2000.0, tol=1e-6, nodes=800, cartan=None))
+def test_integrator_matches_solve_ivp_bit_for_bit(run):
+    sol = integrate_radial(**run)
+    ref = reference_solve_ivp(**run)
+    assert ref.status == 0
+    rank = sol.n_components
+    radii = np.exp(ref.t)
+    assert np.array_equal(sol.r_nodes[1:], radii)
+    assert np.array_equal(sol.u[:, 1:], ref.y[:rank])
+    assert np.array_equal(sol.du[:, 1:], ref.y[rank : 2 * rank] / radii[None, :])
+    assert np.array_equal(sol.alpha[:, 1:], ref.y[2 * rank :])
+    for r in (1.0, np.sqrt(run["r_max"]), run["r_max"]):
+        want = ref.sol(np.log(r))
+        got = np.concatenate(_state_at(sol, r))
+        assert np.array_equal(got, want)
+
+
+def test_blow_up_radius_matches_solve_ivp():
+    ref = reference_solve_ivp((0.0,), cartan=ANTI_DAMPED)
+    assert ref.status == 1
+    radius = float(np.exp(ref.t_events[0][0]))
+    with pytest.raises(BlowUpError) as excinfo:
+        integrate_radial((0.0,), cartan=ANTI_DAMPED)
+    assert excinfo.value.radius == pytest.approx(radius, rel=1e-12, abs=0.0)
+    assert str(excinfo.value) == f"profile blew up near radius {radius:.6g}"
 
 
 def test_shooting_family_masses_satisfy_relation():
@@ -178,8 +270,9 @@ def test_shooting_family_masses_satisfy_relation():
 
 
 def test_integrate_validations():
-    with pytest.raises(ValueError, match="at least 10"):
-        integrate_radial((0.0, 0.0), r_max=5.0)
+    for r_max in (5.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="at least 10"):
+            integrate_radial((0.0, 0.0), r_max=r_max)
     with pytest.raises(ValueError, match="tol"):
         integrate_radial((0.0, 0.0), tol=1e-5)
     with pytest.raises(ValueError, match="tol"):
