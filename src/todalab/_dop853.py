@@ -407,8 +407,12 @@ def integrate(
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("the initial state must be finite")
-    f = np.asarray(fun(t, y), dtype=float)
-    h_abs = _initial_step(fun, t, y, tf, f, rtol, atol)
+    # a steep start or a trial step may overflow; the step control then
+    # rejects the step (the error norm is not below 1) or the run stalls,
+    # so these floating-point warnings carry nothing the caller needs
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(fun(t, y), dtype=float)
+        h_abs = _initial_step(fun, t, y, tf, f, rtol, atol)
     K_extended = np.empty((N_STAGES_EXTENDED, y.size))
     K = K_extended[:N_STAGES + 1]
 
@@ -432,9 +436,10 @@ def integrate(
                 t_new = tf
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f, h, K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_new, f_new = _rk_step(fun, t, y, f, h, K)
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error_norm = _error_norm(K, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR

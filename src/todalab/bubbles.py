@@ -15,13 +15,15 @@ and the Liouville mass are closed forms; no quadrature runs here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .cartan import _check_couplings
-from .functional import MultiField
-from .grid import GridSpec, ScalarField, _periodic_dist_sq
+
+if TYPE_CHECKING:
+    from .functional import MultiField
+    from .grid import GridSpec
 
 __all__ = [
     "BubbleParams",
@@ -86,6 +88,11 @@ def standard_bubble(
     The core width is 1/(scale sqrt(pi)); unless allow_unresolved is set
     the grid must place at least four cells across it.
     """
+    # imported here: the slope fits and the identity suite never sample
+    # on a grid, so their processes skip loading these modules
+    from .functional import MultiField
+    from .grid import ScalarField, _periodic_dist_sq
+
     if not allow_unresolved and spec.h > 1.0 / (4.0 * params.scale * np.sqrt(np.pi)):
         raise ValueError(
             "grid too coarse for this scale; refine or pass allow_unresolved"

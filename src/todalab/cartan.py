@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "CartanMatrix",
+    "NumericalError",
     "cartan_su",
     "resolve_cartan",
     "subset_margin",
@@ -28,6 +29,15 @@ EIGHT_PI = 8.0 * np.pi
 
 # Enumerating all 2^N - 1 nonempty subsets is only sane for small rank.
 MAX_SUBSET_RANK = 12
+
+
+class NumericalError(RuntimeError):
+    """A computation left the range where its result means anything.
+
+    It lives in this module, which every other one imports, so the CLI
+    can report any such failure without importing the module that raised
+    it.
+    """
 
 
 @dataclass(frozen=True)

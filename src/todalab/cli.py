@@ -19,41 +19,56 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from importlib import metadata
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import __version__, _lazy_getattr
 from ._csv import write_csv
-from .bubbles import (
-    QUANTITY_KEYS,
-    _check_flat_radius,
-    _sorted_scales,
-    asymptotic_slope_table,
-    fit_slopes,
-)
-from .cartan import CartanMatrix, _check_couplings, cartan_su
-from .grid import GridSpec
-from .minimizer import (
-    MinimizeConfig,
-    NonFiniteEnergyError,
-    minimize,
-    sweep,
-    write_region_csv,
-)
-from .pohozaev import _check_disks, radius_scan, write_balance_csv
-from .radial import (
-    BlowUpError,
-    _check_settings,
-    ball_pohozaev,
-    check_mass_relation,
-    flux_residuals,
-    integrate_radial,
-    masses_and_exponents,
-    sweep_shooting,
-    write_solution_csv,
-)
+from .cartan import CartanMatrix, NumericalError, _check_couplings, cartan_su
+
+# what the commands use of the numerical modules, by module.  A name is
+# imported on first access (see __getattr__) and then kept as an attribute
+# of this module, so a process loads only the modules its command runs,
+# and a replacement set here (the benchmark tracer wraps cli.minimize,
+# cli.sweep, ...) is what the commands call.
+_CALLEES = {
+    name: module
+    for module, names in {
+        "grid": ("GridSpec",),
+        "minimizer": ("MinimizeConfig", "minimize", "sweep", "write_region_csv"),
+        "pohozaev": ("_check_disks", "radius_scan", "write_balance_csv"),
+        "bubbles": (
+            "QUANTITY_KEYS",
+            "_check_flat_radius",
+            "_sorted_scales",
+            "asymptotic_slope_table",
+            "fit_slopes",
+        ),
+        "radial": (
+            "BlowUpError",
+            "_check_settings",
+            "ball_pohozaev",
+            "check_mass_relation",
+            "flux_residuals",
+            "integrate_radial",
+            "masses_and_exponents",
+            "sweep_shooting",
+            "write_solution_csv",
+        ),
+    }.items()
+    for name in names
+}
+
+
+__getattr__ = _lazy_getattr(globals(), _CALLEES)
+
+
+def _callees(*names: str) -> tuple:
+    """The named entries of _CALLEES, read as attributes of this module."""
+    this = sys.modules[__name__]
+    return tuple(getattr(this, name) for name in names)
+
 
 __all__ = [
     "RunConfig",
@@ -336,6 +351,7 @@ def resolve_config(command: str, cli_raw: dict[str, Optional[str]],
 
 def _minimize_config(config: RunConfig) -> MinimizeConfig:
     """The descent settings of a minimize, sweep or pohozaev run."""
+    (MinimizeConfig,) = _callees("MinimizeConfig")
     given = {k: config.values[k] for k in ("max_iters", "grad_tol") if k in config.values}
     return MinimizeConfig(seed=config.seed, **given)
 
@@ -347,6 +363,7 @@ def _precheck(config: RunConfig) -> None:
     drift apart.
     """
     if config.command in ("minimize", "sweep", "pohozaev"):
+        (GridSpec,) = _callees("GridSpec")
         GridSpec(config.n)
         _minimize_config(config)
     if config.command in ("minimize", "pohozaev"):
@@ -356,8 +373,10 @@ def _precheck(config: RunConfig) -> None:
         # the bubble family and its slope table are rank 2
         _check_couplings(config.couplings, 2)
     if config.command == "pohozaev":
+        (_check_disks,) = _callees("_check_disks")
         _check_disks(config.values["radii"], config.values["center"], 1.0 / config.n)
     if config.command == "radial":
+        (_check_settings,) = _callees("_check_settings")
         cartan_su(len(config.values["a0"]))
         _check_settings(
             config.values["a0"],
@@ -366,35 +385,59 @@ def _precheck(config: RunConfig) -> None:
             config.values["nodes"],
         )
     if config.command == "bubble":
+        _sorted_scales, _check_flat_radius = _callees("_sorted_scales", "_check_flat_radius")
         _sorted_scales(config.values["scales"])
         _check_flat_radius(config.values["flat_radius"])
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
+
+    The standard encoder runs in pure Python whenever indent is set.  Here
+    only the nesting is laid out in Python: each list of numbers (the
+    field rows of a report) goes through the C encoder, with the line
+    break and the indent folded into its item separator.
+    """
+
+    def chunks(value, pad: str):
+        inner = pad + "  "
+        if isinstance(value, dict) and value:
+            yield "{"
+            for i, (key, item) in enumerate(sorted(value.items())):
+                name = key if isinstance(key, str) else json.dumps(key)
+                yield f"{',' if i else ''}\n{inner}{json.dumps(name)}: "
+                yield from chunks(item, inner)
+            yield f"\n{pad}}}"
+        elif isinstance(value, (list, tuple)) and value:
+            if all(isinstance(x, (int, float)) for x in value):
+                row = json.dumps(value, separators=(",\n" + inner, ": "))
+                yield f"[\n{inner}{row[1:-1]}\n{pad}]"
+                return
+            for i, item in enumerate(value):
+                yield f"{',' if i else '['}\n{inner}"
+                yield from chunks(item, inner)
+            yield f"\n{pad}]"
+        else:
+            yield json.dumps(value)
+
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.writelines(chunks(payload, ""))
         handle.write("\n")
-
-
-def _version() -> str:
-    try:
-        return "v" + metadata.version("todalab")
-    except metadata.PackageNotFoundError:
-        return "v0+unknown"
 
 
 def _write_manifest(config: RunConfig, wall_time: float) -> None:
     manifest = {
         "command": config.command,
         "config": dict(sorted(config.raw.items())),
-        "version": _version(),
+        "version": "v" + __version__,
         "wall_time_s": round(wall_time, 3),
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
     _write_json(os.path.join(config.out, "manifest.json"), manifest)
 
 
 def _run_minimize(config: RunConfig) -> int:
+    GridSpec, minimize = _callees("GridSpec", "minimize")
     spec = GridSpec(config.n)
     report = minimize(config.couplings, spec, config=_minimize_config(config))
     payload = report.to_dict(include_fields=not config.values["summary_only"])
@@ -405,6 +448,7 @@ def _run_minimize(config: RunConfig) -> int:
 
 
 def _run_sweep(config: RunConfig) -> int:
+    GridSpec, sweep, write_region_csv = _callees("GridSpec", "sweep", "write_region_csv")
     spec = GridSpec(config.n)
     k1, k2 = config.values["m_grid"]
     lo, hi = config.values["range"]
@@ -417,6 +461,9 @@ def _run_sweep(config: RunConfig) -> int:
 
 
 def _run_bubble(config: RunConfig) -> int:
+    QUANTITY_KEYS, asymptotic_slope_table, fit_slopes = _callees(
+        "QUANTITY_KEYS", "asymptotic_slope_table", "fit_slopes"
+    )
     report = fit_slopes(
         config.values["scales"],
         config.couplings,
@@ -437,6 +484,11 @@ def _run_bubble(config: RunConfig) -> int:
 
 
 def _run_radial(config: RunConfig) -> int:
+    (check_mass_relation, flux_residuals, integrate_radial, masses_and_exponents,
+     write_solution_csv) = _callees(
+        "check_mass_relation", "flux_residuals", "integrate_radial",
+        "masses_and_exponents", "write_solution_csv",
+    )
     sol = integrate_radial(
         config.values["a0"],
         r_max=config.values["r_max"],
@@ -468,6 +520,9 @@ def _run_radial(config: RunConfig) -> int:
 
 
 def _run_pohozaev(config: RunConfig) -> int:
+    GridSpec, minimize, radius_scan, write_balance_csv = _callees(
+        "GridSpec", "minimize", "radius_scan", "write_balance_csv"
+    )
     spec = GridSpec(config.n)
     report = minimize(config.couplings, spec, config=_minimize_config(config))
     balances = radius_scan(
@@ -511,6 +566,11 @@ def _fail_row(identity: str, message: str) -> IdentityRow:
 
 
 def _radial_identity_rows(cartan: Optional[CartanMatrix]) -> list[IdentityRow]:
+    (BlowUpError, ball_pohozaev, check_mass_relation, flux_residuals, integrate_radial,
+     masses_and_exponents, sweep_shooting) = _callees(
+        "BlowUpError", "ball_pohozaev", "check_mass_relation", "flux_residuals",
+        "integrate_radial", "masses_and_exponents", "sweep_shooting",
+    )
     rows: list[IdentityRow] = []
     try:
         sol = integrate_radial((0.0, 0.0), cartan=cartan)
@@ -551,6 +611,9 @@ def _radial_identity_rows(cartan: Optional[CartanMatrix]) -> list[IdentityRow]:
 
 
 def _bubble_identity_rows(m: Sequence[float]) -> list[IdentityRow]:
+    QUANTITY_KEYS, asymptotic_slope_table, fit_slopes = _callees(
+        "QUANTITY_KEYS", "asymptotic_slope_table", "fit_slopes"
+    )
     rows: list[IdentityRow] = []
     try:
         report = fit_slopes(SUITE_SCALES, m)
@@ -642,7 +705,7 @@ def parse_and_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         code = RUNNERS[config.command](config)
-    except (BlowUpError, NonFiniteEnergyError, ValueError) as exc:
+    except (NumericalError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         _write_manifest(config, time.perf_counter() - started)
         return 1

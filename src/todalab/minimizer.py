@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cartan import CartanMatrix, _check_couplings, resolve_cartan
+from .cartan import CartanMatrix, NumericalError, _check_couplings, resolve_cartan
 from ._csv import write_csv
 from .functional import (
     MultiField,
@@ -79,7 +79,7 @@ STEP_GROWTH = 1.5
 REGION_CSV_HEADER = "m1,m2,status,energy,max_field,conc1,conc2"
 
 
-class NonFiniteEnergyError(RuntimeError):
+class NonFiniteEnergyError(NumericalError):
     """Raised when the energy turns non-finite mid-run; carries the trace."""
 
     def __init__(self, message: str, energy_trace: Sequence[float]):

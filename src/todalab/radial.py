@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .cartan import CartanMatrix, resolve_cartan
+from .cartan import CartanMatrix, NumericalError, resolve_cartan
 from ._csv import write_csv
 
 if TYPE_CHECKING:
@@ -47,7 +47,7 @@ TAIL_FRACTION = 1e-4
 FOUR_PI = 4.0 * np.pi
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(NumericalError):
     """The profile left the integrable regime at a finite radius."""
 
     def __init__(self, message: str, radius: float):

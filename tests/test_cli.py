@@ -14,6 +14,7 @@ import todalab
 from todalab.cli import (
     CliError,
     IDENTITY_CSV_HEADER,
+    _write_json,
     emit_identity_suite,
     parse_and_dispatch,
     parse_couplings,
@@ -191,13 +192,14 @@ def test_radial_validation_exits_2(tmp_path, capsys):
     assert "r_max must be at least 10" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_radial_stall_on_the_first_step_is_a_numerical_failure(tmp_path, capsys):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radial_stall_on_the_first_step_is_a_numerical_failure(tmp_path, capfd):
     # a steep start shrinks the first step below the spacing of floats
-    # before any output node is reached
+    # before any output node is reached; the overflowing trial steps must
+    # not warn (a warning raises here), so stderr holds one line
     code, _ = run(tmp_path, "radial", "--a0", "80,0")
     assert code == 1
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert err == "numerical failure: integration stalled near radius 0.0001\n"
 
 
@@ -307,3 +309,61 @@ def test_import_and_grid_commands_leave_scipy_unloaded(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_commands_load_only_their_modules(tmp_path):
+    script = "\n".join([
+        "import sys",
+        "from todalab.cli import main",
+        "def loaded(*names):",
+        "    return [name for name in names if name in sys.modules]",
+        "never = ('todalab.minimizer', 'todalab.pohozaev', 'importlib.metadata',"
+        " 'todalab.functional', 'todalab.grid')",
+        f"assert main(['radial', '--r-max', '10', '--nodes', '16',"
+        f" '--out', {str(tmp_path / 'r')!r}]) == 0",
+        "assert not loaded(*never, 'todalab.bubbles'), loaded(*never, 'todalab.bubbles')",
+        f"assert main(['bubble', '--out', {str(tmp_path / 'b')!r}]) == 0",
+        f"assert main(['identities', '--out', {str(tmp_path / 'i')!r}]) == 0",
+        "assert not loaded(*never), loaded(*never)",
+    ])
+    src = Path(todalab.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_lazy_names_are_their_submodules_objects():
+    import importlib
+
+    import todalab.cli as cli
+
+    for owner, table in ((todalab, todalab._EXPORTS), (cli, cli._CALLEES)):
+        for name, module in table.items():
+            home = importlib.import_module(f"todalab.{module}")
+            assert getattr(owner, name) is getattr(home, name), name
+    assert set(todalab._EXPORTS) <= set(dir(todalab))
+    assert set(todalab.__all__) == set(todalab._EXPORTS)
+    with pytest.raises(AttributeError):
+        todalab.no_such_name
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"floats": [-0.0, 5e-324, 1e300, -1e300, 0.1, 1.0, 2.5e-310]},
+        {"special": [math.nan, math.inf, -math.inf], "ints": [0, -7, 10**20]},
+        {"mixed": [1, 2.0, True, None, "x"], "empty": [], "none": {}, "s": "é\"\n"},
+        {"field": [[[0.5, -0.0], [5e-324, 1e300]], [[], [[1.0]]]], "b": {"z": 1, "a": (1.5,)}},
+        {"numpy": [np.float64(1 / 3), np.float64(-0.0)], "n": 64, "status": "Converged"},
+        {2: "two", 1.5: [1.0], True: None},
+    ],
+)
+def test_write_json_matches_indented_dumps(tmp_path, payload):
+    path = tmp_path / "report.json"
+    _write_json(str(path), payload)
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
