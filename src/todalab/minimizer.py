@@ -3,14 +3,28 @@
 The descent runs in the abstract parametrization with two layers of
 preconditioning: the inverse coupling matrix undoes the cross-component
 mixing and the zero-mean inverse Laplacian flattens the spectrum of the
-quadratic term.  The energy is evaluated in full once, at the start.
-Along each search line its change has a closed form (a quadratic in the
-step plus one log1p per component), which the Armijo backtracking tests
-directly: no trial step needs a transform, and no decrement is lost to
-the difference of two large energies.  An accepted step updates the
-state and the energy by that change, so each iteration costs one FFT
-pair (the preconditioner) and the recorded energy trace is non-increasing
-by construction.
+quadratic term.  Their product P = (-lap)^-1 A^-1 is linear, symmetric
+and the exact inverse of the quadratic term, so it serves as the initial
+inverse Hessian H0 of limited-memory BFGS (Liu and Nocedal, Math. Prog.
+45, 1989).  The curvature pairs live in one stacked buffer: the steps s_i
+and P y_i, each beside its image under -lap.  P y_i and -lap P y_i are
+differences of arrays the iteration forms anyway, the two-loop recursion
+runs on the Gram scalars <s_i, y_j> and <y_i, P y_j> alone ("vector-free"
+form, Chen, Wang and Zhou, NeurIPS 2014), and the direction and its -lap
+come out of one product with the buffer.  A pair is kept only when its
+curvature <s, y> is positive, and a direction that does not descend
+clears the history for a plain preconditioned step.  The history holds
+up to HISTORY_PAIRS pairs and at most HISTORY_BYTES, so on large grids it
+is empty and the descent is preconditioned steepest descent.
+
+The energy is evaluated in full once, at the start.  Along each search
+line its change has a closed form (a quadratic in the step plus one log1p
+per component), which the Armijo backtracking tests directly: no trial
+step needs a transform, and no decrement is lost to the difference of
+two large energies.  An accepted step updates the state and the energy
+by that change, so each iteration costs one FFT pair (the
+preconditioner) and the recorded energy trace is non-increasing by
+construction.
 
 A run that ends far below its starting energy with nearly all of one
 component's normalized mass inside a small disk is reported as
@@ -75,6 +89,13 @@ STATUS_BUDGET = "Budget"
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 STEP_GROWTH = 1.5
+# L-BFGS memory: at most this many pairs, and no more than fit in about
+# one core's L2 cache (2 MiB) at four (N, n, n) arrays per pair.  At
+# n = 64 that is 5 pairs; at n = 256 a pair alone is 4 MiB, the history
+# is empty, and the descent takes plain preconditioned steps.
+HISTORY_PAIRS = 5
+HISTORY_BYTES = 2 * 1024 * 1024
+DENSITY_FLOOR = np.finfo(float).tiny
 
 REGION_CSV_HEADER = "m1,m2,status,energy,max_field,conc1,conc2"
 
@@ -155,6 +176,94 @@ class MinimizeReport:
         return out
 
 
+class _History:
+    """L-BFGS curvature pairs with H0 = P, in one stacked ring buffer.
+
+    Slot k of `stack` holds P y_k and s_k in block 0 and their images
+    under -lap in block 1, so the occupied slots form a prefix that one
+    product reads.  The recursion needs only the Gram scalars
+    sy[i][j] = <s_i, y_j> (pair i no newer than pair j) and
+    ypy[i][j] = <y_i, P y_j>; each new pair adds one column of them.
+    Inner products are plain sums: the cell area cancels from every
+    coefficient.
+    """
+
+    def __init__(self, size: int, shape: tuple[int, ...]):
+        self.size = size
+        self.shape = shape
+        self.stack = np.zeros((2, size, 2) + shape)
+        self.sy = np.zeros((size, size))
+        self.ypy = np.zeros((size, size))
+        self.order: list[int] = []  # occupied slots, oldest pair first
+
+    def _rows(self) -> np.ndarray:
+        """The occupied slots as (2, 2 k, N n n): P y_k and s_k alternate."""
+        used = len(self.order)
+        return self.stack[:, :used].reshape(2, 2 * used, -1)
+
+    def push(self, raw, precond, neglap_precond, step, direction, neglap_d,
+             raw_prev, precond_prev, neglap_precond_prev) -> None:
+        """Add the pair of the last accepted step if its curvature is positive.
+
+        s = step d, y = raw - raw_prev, and P y = precond - precond_prev
+        because P is linear; the oldest pair makes room when full.
+        """
+        y = raw - raw_prev
+        if not 0.0 < step * float(direction.ravel() @ y.ravel()) < np.inf:
+            return  # the energy is not convex here; keep the older pairs
+        if len(self.order) == self.size:
+            slot = self.order.pop(0)
+        else:
+            slot = len(self.order)
+        self.order.append(slot)
+        pair = self.stack[:, slot]
+        np.subtract(precond, precond_prev, out=pair[0, 0])
+        np.multiply(direction, step, out=pair[0, 1])
+        np.subtract(neglap_precond, neglap_precond_prev, out=pair[1, 0])
+        np.multiply(neglap_d, step, out=pair[1, 1])
+        dots = self._rows()[0] @ y.ravel()
+        self.ypy[slot, : len(self.order)] = dots[0::2]
+        self.ypy[: len(self.order), slot] = dots[0::2]
+        self.sy[: len(self.order), slot] = dots[1::2]
+
+    def direction(self, raw, precond, neglap_precond) -> tuple[np.ndarray, np.ndarray]:
+        """d = -H raw and -lap d, by the two-loop recursion on the Gram scalars.
+
+        With q = raw - sum_j alpha_j y_j the recursion returns
+        H raw = P raw - sum_j alpha_j P y_j + sum_j (alpha_j - beta_j) s_j,
+        where <s_i, q> and <y_i, P q> expand into <s_i, raw>, <P y_i, raw>
+        (P is symmetric) and the Gram scalars.
+        """
+        rows = self._rows()
+        dots = (rows[0] @ raw.ravel()).tolist()
+        py_raw, s_raw = dots[0::2], dots[1::2]
+        sy, ypy = self.sy.tolist(), self.ypy.tolist()
+        alpha = [0.0] * self.size
+        for k in range(len(self.order) - 1, -1, -1):
+            i = self.order[k]
+            row = sy[i]
+            q = s_raw[i]
+            for j in self.order[k + 1 :]:
+                q -= alpha[j] * row[j]
+            alpha[i] = q / row[i]
+        # d = -H raw, so P y_k enters with +alpha_k and s_k with beta_k - alpha_k
+        coef = [0.0] * len(dots)
+        for k, i in enumerate(self.order):
+            row = ypy[i]
+            r = py_raw[i]
+            for j in self.order:
+                r -= alpha[j] * row[j]
+            for j in self.order[:k]:
+                r -= coef[2 * j + 1] * sy[j][i]
+            coef[2 * i] = alpha[i]
+            coef[2 * i + 1] = r / sy[i][i] - alpha[i]
+        combined = np.asarray(coef) @ rows
+        return (
+            combined[0].reshape(self.shape) - precond,
+            combined[1].reshape(self.shape) - neglap_precond,
+        )
+
+
 def minimize(
     m: Sequence[float],
     spec: GridSpec,
@@ -211,6 +320,9 @@ def minimize(
     iterations = 0
     converged = False
     certified = None
+    pairs = min(HISTORY_PAIRS, HISTORY_BYTES // (4 * v_stack.nbytes))
+    history = _History(pairs, v_stack.shape)
+    previous = None  # the last accepted step and the gradient it started from
 
     for _ in range(config.max_iters):
         raw, source = raw_gradient(rho, neglap, amat, mv)
@@ -223,24 +335,43 @@ def minimize(
             converged = True
             break
 
-        direction = -precond
-        slope = cell_area * float(np.sum(raw * direction))
-        if slope >= 0:
+        # precond = v0 + (-lap)^-1 source, so -lap precond = -lap v0 + source - mean(source)
+        neglap_precond = neglap + source - source.mean(axis=(1, 2), keepdims=True)
+        if previous is not None:
+            history.push(raw, precond, neglap_precond, *previous)
+        if history.order:
+            direction, neglap_d = history.direction(raw, precond, neglap_precond)
+            slope = cell_area * float(np.sum(raw * direction))
+            if not slope < 0:
+                history.order.clear()  # restart from the plain preconditioned step
+        if not history.order:
+            direction, neglap_d = -precond, -neglap_precond
+            slope = cell_area * float(np.sum(raw * direction))
+        if not slope < 0:
             break  # numerical floor: no descent available
+        if history.order:
+            step = 1.0  # a quasi-Newton step is scaled already
 
         # along v0 + s d the energy changes by
         #   s b1 + s^2 b2 - sum_i m_i log1p(h^2 sum rho_i expm1(s w_i)),  w = A d,
-        # which needs no transform and subtracts no two large energies;
-        # d = -(v0 + (-lap)^-1 source), so -lap d = -(-lap v0 + source - mean(source))
+        # which needs no transform and subtracts no two large energies
         w = _mix(amat, direction)
-        neglap_d = -(neglap + source - source.mean(axis=(1, 2), keepdims=True))
+        # once a density has underflowed, the multiplicative update has lost
+        # weight that a later step may raise again, and log1p(masses) loses
+        # digits as the mass leaves its cells; the change of log int exp(u)
+        # then comes from u itself
+        exact = rho.min() < DENSITY_FLOOR
         b1 = cell_area * float(np.sum(w * neglap) + np.sum(linear_weights * direction))
         b2 = 0.5 * cell_area * float(np.sum(w * neglap_d))
         while step > 1e-16 * config.step:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                growth = np.expm1(step * w)
-                masses = cell_area * np.sum(rho * growth, axis=(1, 2))
-                change = step * b1 + step * step * b2 - float(mv @ np.log1p(masses))
+                if exact:
+                    shift = _log_integral_exp(u + step * w) - lse
+                else:
+                    growth = np.expm1(step * w)
+                    masses = cell_area * np.sum(rho * growth, axis=(1, 2))
+                    shift = np.log1p(masses)
+                change = step * b1 + step * step * b2 - float(mv @ shift)
             if np.isfinite(change) and change <= ARMIJO_C1 * step * slope:
                 break
             step *= BACKTRACK
@@ -249,12 +380,17 @@ def minimize(
         v0 += step * direction
         u += step * w
         neglap += step * neglap_d
-        lse += np.log1p(masses)
-        rho *= 1.0 + growth
-        rho /= (1.0 + masses)[:, None, None]
+        lse += shift
+        if exact:
+            rho = np.exp(u - lse[:, None, None])
+        else:
+            rho *= 1.0 + growth
+            rho /= (1.0 + masses)[:, None, None]
         energy += change
         trace.append(energy)
         iterations += 1
+        if history.size:
+            previous = (step, direction, neglap_d, raw, precond, neglap_precond)
         step *= STEP_GROWTH
         # once the blow-up certificate (drop plus concentration) holds,
         # further descent only chases the same grid-limited spike

@@ -3,8 +3,9 @@
 The planar system u_j'' + u_j'/r = -sum_k a_jk e^{u_k} is integrated in
 t = log r, where it reads d2u_j/dt2 = -sum_k a_jk e^{u_k + 2t} and the
 1/r stiffness disappears; a quadratic series in r covers the origin up
-to SERIES_RADIUS.  The integrator is the package's own DOP853 (private
-module _dop853), so the radial commands need numpy alone.  Running
+to a hand-over radius where e^{max a0} r^2 is still small.  The
+integrator is the package's own DOP853 (private module _dop853), so the
+radial commands need numpy alone.  Running
 masses ride along as companion unknowns, so the divergence-theorem flux
 identity -2 pi r u_i'(r) = sum_j a_ij alpha_j(r) is available at every
 node as an integrator self-test.
@@ -41,7 +42,10 @@ __all__ = [
     "write_solution_csv",
 ]
 
+# the series hands over at this radius, or closer in for tall starts
 SERIES_RADIUS = 1e-4
+# e^{max a0} r^2 at the hand-over of a tall start: its r^4 term is small
+SERIES_GROWTH = 1e-3
 FLUX_ABORT = 1e-5
 TAIL_FRACTION = 1e-4
 FOUR_PI = 4.0 * np.pi
@@ -142,7 +146,7 @@ def integrate_radial(
 
     a0 holds the central values u_j(0); smoothness forces u_j'(0) = 0,
     and the series u_j ~ a_j - (sum_k a_jk e^{a_k}) r^2 / 4 hands off to
-    the log-radius integrator at SERIES_RADIUS: the in-repo DOP853 with
+    the log-radius integrator at _series_radius(a0): the in-repo DOP853 with
     rtol = atol = tol, whose results equal SciPy's solve_ivp bit for bit.
     Raises BlowUpError when a profile climbs past the blow-up guard
     before reaching r_max or the step size stalls, and aborts if the
@@ -157,7 +161,7 @@ def integrate_radial(
     amat = cartan.entries
     rank = cartan.rank
 
-    r0 = SERIES_RADIUS
+    r0 = _series_radius(start)
     y0 = np.concatenate(_series_state(start, amat, r0))
 
     def rhs(t, y):
@@ -261,8 +265,17 @@ def asymptotic_slopes(sol: RadialSolution) -> tuple[SlopeCheck, ...]:
     return tuple(checks)
 
 
+def _series_radius(start: np.ndarray) -> float:
+    """Where the series hands over: SERIES_RADIUS, or less for a tall start.
+
+    The series is exact to O(e^{2 max a0} r^4), so it is accurate only
+    while e^{max a0} r^2 is small; max a0 <= 11.5 keeps SERIES_RADIUS.
+    """
+    return min(SERIES_RADIUS, float(np.sqrt(SERIES_GROWTH) * np.exp(-0.5 * start.max())))
+
+
 def _series_state(start: np.ndarray, amat: np.ndarray, r: float):
-    """(u, r u', alpha) of the quadratic series at the origin, r < SERIES_RADIUS."""
+    """(u, r u', alpha) of the quadratic series at the origin, r <= _series_radius."""
     curvature = amat @ np.exp(start)
     return (
         start - curvature * r * r / 4.0,
@@ -274,7 +287,7 @@ def _series_state(start: np.ndarray, amat: np.ndarray, r: float):
 def _state_at(sol: RadialSolution, r: float):
     """(u, r u', alpha) at radius r from the dense solution or the series."""
     rank = sol.n_components
-    if r < SERIES_RADIUS:
+    if r < _series_radius(np.asarray(sol.a0)):
         return _series_state(np.asarray(sol.a0), sol.cartan.entries, r)
     y = sol._dense(np.log(r))
     return y[:rank], y[rank : 2 * rank], y[2 * rank :]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -193,14 +194,28 @@ def test_radial_validation_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_radial_stall_on_the_first_step_is_a_numerical_failure(tmp_path, capfd):
-    # a steep start shrinks the first step below the spacing of floats
-    # before any output node is reached; the overflowing trial steps must
-    # not warn (a warning raises here), so stderr holds one line
-    code, _ = run(tmp_path, "radial", "--a0", "80,0")
+def test_radial_stall_is_a_one_line_numerical_failure(tmp_path, capfd, monkeypatch):
+    # a stiff coupling matrix shrinks the first step below the spacing of
+    # floats before any output node is reached; the overflowing trial
+    # steps must not warn (a warning raises here), so stderr holds one line
+    import todalab.cli as cli
+    from todalab.cartan import CartanMatrix
+    from todalab.radial import integrate_radial
+
+    entries = np.array([[2.0, -1.0], [-1e35, 2.0]])
+    stiff = CartanMatrix(2, entries, np.linalg.inv(entries))
+    monkeypatch.setattr(cli, "integrate_radial",
+                        partial(integrate_radial, cartan=stiff), raising=False)
+    code, _ = run(tmp_path, "radial", "--a0", "0,0")
     assert code == 1
     err = capfd.readouterr().err
     assert err == "numerical failure: integration stalled near radius 0.0001\n"
+
+
+def test_tall_radial_start_converges(tmp_path):
+    code, out = run(tmp_path, "radial", "--a0", "80,0")
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["outcome"] == "converged"
 
 
 @pytest.mark.parametrize(

@@ -7,15 +7,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from todalab.bubbles import BubbleParams, standard_bubble
 from todalab.cartan import cartan_su
-from todalab.functional import MultiField, energy, evaluate, v_from_u
+from todalab.functional import MultiField, _mix, energy, evaluate, v_from_u
 from todalab.grid import (
     GridSpec,
     ScalarField,
+    _centered,
+    _inverse_neg_laplacian,
+    _neg_laplacian,
     _periodic_dist_sq,
     disk_mass,
     log_integral_exp,
@@ -358,6 +361,171 @@ def test_detector_skipped_while_no_disk_can_reach_the_threshold(monkeypatch):
     trace = np.asarray(report.energy_trace)
     drop = MinimizeConfig().divergence_energy_drop
     assert calls < np.sum(trace[1:] < trace[0] - drop)
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS in the preconditioner's metric
+
+
+def textbook_two_loop(pairs, g, apply_p):
+    """-H g by the two-loop recursion on explicit vectors, with H0 = apply_p."""
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        alpha = np.vdot(s, q) / np.vdot(s, y)
+        q -= alpha * y
+        alphas.append(alpha)
+    r = apply_p(q)
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        beta = np.vdot(y, r) / np.vdot(s, y)
+        r += (alpha - beta) * s
+    return -r
+
+
+def test_gram_recursion_matches_textbook_two_loop():
+    shape = (2, 16, 16)
+    inverse = cartan_su(2).inverse_entries
+    rng = np.random.default_rng(7)
+
+    def field():
+        return _centered(rng.standard_normal(shape))
+
+    def apply_p(x):
+        return _inverse_neg_laplacian(_mix(inverse, x))
+
+    def gradient_state(g):
+        return g, apply_p(g), _neg_laplacian(apply_p(g))
+
+    history = minimizer._History(minimizer.HISTORY_PAIRS, shape)
+    g = field()
+    kept = []
+    for k in range(8):
+        y = field()
+        # P is positive definite on zero-mean fields, so s = P (y + noise)
+        # mostly has s.y > 0; pair 3 has negative curvature for certain
+        s = -apply_p(y) if k == 3 else apply_p(y + 0.3 * field())
+        step = rng.uniform(0.5, 2.0)
+        direction = s / step
+        history.push(*gradient_state(g + y), step, direction,
+                     _neg_laplacian(direction), *gradient_state(g))
+        if np.vdot(s, y) > 0:
+            kept.append((step * direction, y))
+        g = g + y
+    assert minimizer.HISTORY_PAIRS <= len(kept) < 8
+    assert len(history.order) == minimizer.HISTORY_PAIRS
+    raw = field()
+    d, neglap_d = history.direction(*gradient_state(raw))
+    want = textbook_two_loop(kept[-minimizer.HISTORY_PAIRS:], raw, apply_p)
+    assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
+    # the tracked -lap d is the transform of d
+    assert np.linalg.norm(neglap_d - _neg_laplacian(d)) <= 1e-12 * np.linalg.norm(neglap_d)
+
+
+def test_non_descent_direction_restarts_with_the_preconditioned_step(monkeypatch):
+    quasi_newton = minimizer._History.direction
+    mix = minimizer._mix
+    forced, searched = [], []
+
+    def uphill(history, raw, precond, neglap_precond):
+        d, neglap_d = quasi_newton(history, raw, precond, neglap_precond)
+        forced.append((history, -precond))
+        return -d, -neglap_d
+
+    def record(matrix, direction):
+        # the descent mixes each searched direction once, as w = A d
+        if forced:
+            searched.append((len(forced), len(forced[-1][0].order), direction.copy()))
+        return mix(matrix, direction)
+
+    monkeypatch.setattr(minimizer._History, "direction", uphill)
+    monkeypatch.setattr(minimizer, "_mix", record)
+    spec = GridSpec(16)
+    report = minimize((3 * PI, 3 * PI), spec, init=random_init(spec, 3))
+    assert report.status == "Converged"
+    assert forced
+    for k, (_, plain) in enumerate(forced, start=1):
+        count, pairs, direction = next(r for r in searched if r[0] == k)
+        assert pairs == 0
+        assert np.array_equal(direction, plain)
+
+
+def test_each_iteration_runs_one_inverse_laplacian(monkeypatch):
+    # one FFT pair per iteration, plus the one that finds convergence
+    inverse = minimizer._inverse_neg_laplacian
+    calls = []
+    monkeypatch.setattr(minimizer, "_inverse_neg_laplacian",
+                        lambda values: calls.append(1) or inverse(values))
+    spec = GridSpec(64)
+    init = v_from_u(_bubble_seed(spec, 16.0, 0), cartan_su(2))
+    report = minimize((3.9 * PI, 3.9 * PI), spec, init=init)
+    assert report.status == "Converged"
+    assert report.iterations > 10
+    assert len(calls) == report.iterations + 1
+
+
+@pytest.mark.parametrize("n, pairs", [(32, 5), (64, 5), (128, 2), (256, 0)])
+def test_history_fits_its_byte_budget(monkeypatch, n, pairs):
+    history = minimizer._History
+    sizes = []
+    monkeypatch.setattr(minimizer, "_History",
+                        lambda size, shape: sizes.append(size) or history(size, shape))
+    minimize((3 * PI, 3 * PI), GridSpec(n), config=MinimizeConfig(max_iters=1))
+    assert sizes == [pairs]
+
+
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        ((3.4783, 3.4783), "Bounded"),
+        ((2.068, 3.568), "Bounded"),
+        ((1.4529, 4.4529), "Unbounded"),
+        ((3.9, 3.9), "Bounded"),
+        ((3.95, 1.0), "Bounded"),
+    ],
+)
+def test_near_threshold_cells_classify_within_sixty_iterations(monkeypatch, m, expected):
+    # preconditioned steepest descent needed up to 111 iterations here
+    descend = minimizer.minimize
+    reports = []
+    monkeypatch.setattr(minimizer, "minimize",
+                        lambda *args, **kwargs: reports.append(descend(*args, **kwargs))
+                        or reports[-1])
+    assert classify_boundedness(tuple(x * PI for x in m), GridSpec(64)) == expected
+    assert max(r.iterations for r in reports) <= 60
+
+
+couplings = st.floats(-6.0, 3.0).map(lambda e: 10.0**e * PI)
+
+
+@given(m1=couplings, m2=couplings, seed=st.integers(0, 2**16), early_stop=st.booleans())
+@example(m1=1e3 * PI, m2=1e3 * PI, seed=0, early_stop=False)
+@example(m1=1e-6 * PI, m2=1e3 * PI, seed=0, early_stop=False)
+@example(m1=1e3 * PI, m2=1e-6 * PI, seed=1, early_stop=True)
+def test_extreme_couplings_end_cleanly(m1, m2, seed, early_stop):
+    # from concentrated seeds the unit quasi-Newton steps overshoot by
+    # orders of magnitude, and without the early stop the descent chases
+    # a grid-scale spike whose density underflows almost everywhere
+    spec = GridSpec(16)
+    cartan = cartan_su(2)
+    config = MinimizeConfig(divergence_energy_drop=14.0 if early_stop else 1e300)
+    inits = [random_init(spec, seed)] + [
+        v_from_u(_bubble_seed(spec, scale, component), cartan)
+        for scale, component in ((64.0, 0), (4.0, 1))
+    ]
+    for init in inits:
+        try:
+            report = minimize((m1, m2), spec, init=init, config=config)
+        except NonFiniteEnergyError:
+            continue
+        values = [*report.energy_trace, *report.el_residuals, report.max_field,
+                  *(spot.mass for spot in report.concentration)]
+        assert np.all(np.isfinite(values))
+        assert np.all(np.diff(report.energy_trace) <= 0.0)
+    try:
+        (row,) = sweep([(m1, m2)], spec)
+    except NonFiniteEnergyError:
+        return
+    assert np.all(np.isfinite([row.energy, row.max_field, row.conc1, row.conc2]))
 
 
 def test_non_finite_energy_raises_with_trace():

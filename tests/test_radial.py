@@ -9,8 +9,8 @@ from scipy.integrate import solve_ivp
 
 from todalab.cartan import CartanMatrix, cartan_su, resolve_cartan
 from todalab.radial import (
-    SERIES_RADIUS,
     BlowUpError,
+    _series_radius,
     _series_state,
     _state_at,
     asymptotic_slopes,
@@ -32,6 +32,11 @@ CORRUPT = CartanMatrix(
     2, np.array([[2.0, -0.9], [-0.9, 2.0]]), np.linalg.inv([[2.0, -0.9], [-0.9, 2.0]])
 )
 ANTI_DAMPED = CartanMatrix(1, np.array([[-2.0]]), np.array([[-0.5]]))
+# a huge cross coupling: the series hands u2 a value whose exponential
+# overflows, so the first step shrinks below the spacing of floats
+STIFF = CartanMatrix(
+    2, np.array([[2.0, -1.0], [-1e35, 2.0]]), np.linalg.inv([[2.0, -1.0], [-1e35, 2.0]])
+)
 
 
 # Symmetric ansatz: with u1 = u2 = w the coupled system collapses to
@@ -181,7 +186,8 @@ def reference_solve_ivp(a0, r_max=1000.0, tol=1e-10, cartan=None, nodes=600):
     cartan = resolve_cartan(start.size, cartan)
     amat = cartan.entries
     rank = cartan.rank
-    y0 = np.concatenate(_series_state(start, amat, SERIES_RADIUS))
+    r0 = _series_radius(start)
+    y0 = np.concatenate(_series_state(start, amat, r0))
 
     def rhs(t, y):
         weights = np.exp(y[:rank] + 2.0 * t)
@@ -197,7 +203,7 @@ def reference_solve_ivp(a0, r_max=1000.0, tol=1e-10, cartan=None, nodes=600):
     blow_guard.terminal = True
     blow_guard.direction = -1.0
 
-    t_span = (np.log(SERIES_RADIUS), np.log(r_max))
+    t_span = (np.log(r0), np.log(r_max))
     t_eval = np.linspace(t_span[0], t_span[1], nodes)
     return solve_ivp(
         rhs,
@@ -231,6 +237,7 @@ def radial_runs(draw):
 @example(run=dict(a0=(0.0, -1.5), r_max=1000.0, tol=1e-10, nodes=600, cartan=CORRUPT))
 @example(run=dict(a0=(0.0,), r_max=10.0, tol=1e-12, nodes=16, cartan=None))
 @example(run=dict(a0=(1.5, -2.0, 0.3), r_max=2000.0, tol=1e-6, nodes=800, cartan=None))
+@example(run=dict(a0=(20.0, 20.0), r_max=1000.0, tol=1e-10, nodes=600, cartan=None))
 def test_integrator_matches_solve_ivp_bit_for_bit(run):
     sol = integrate_radial(**run)
     ref = reference_solve_ivp(**run)
@@ -245,6 +252,28 @@ def test_integrator_matches_solve_ivp_bit_for_bit(run):
         want = ref.sol(np.log(r))
         got = np.concatenate(_state_at(sol, r))
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("s", [16.0, 20.0, 22.0])
+def test_tall_symmetric_starts_keep_mass_eight_pi(s):
+    # u(x) -> u(sx) + 2 log s maps the a0 = (0, 0) profile to any (s, s),
+    # so every symmetric start carries mass 8 pi; the series must hand
+    # over where e^s r^2 is still small
+    sol = integrate_radial((s, s))
+    for alpha in masses_and_exponents(sol).alpha:
+        assert abs(alpha / EIGHT_PI - 1.0) < 1e-6
+
+
+def test_series_radius_shrinks_only_for_tall_starts():
+    assert _series_radius(np.array([11.5, -3.0])) == 1e-4
+    tall = _series_radius(np.array([0.0, 20.0]))
+    assert tall == pytest.approx(np.sqrt(1e-3 * np.exp(-20.0)), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_first_step_stalls_without_warnings():
+    with pytest.raises(BlowUpError, match="integration stalled near radius 0.0001"):
+        integrate_radial((0.0, 0.0), cartan=STIFF)
 
 
 def test_blow_up_radius_matches_solve_ivp():
