@@ -428,7 +428,7 @@ def integrate(
             h_abs = min_step
         step_rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN derivative's NaN step stalls too
                 status = -1
                 break
             t_new = t + h_abs

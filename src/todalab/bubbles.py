@@ -2,7 +2,7 @@
 
 The family is built from the planar Liouville profile: component one is
 the logarithm of a rescaled standard density, truncated to a disk of
-radius flat_radius around the center and continued by its boundary value
+radius flat_radius around (0.5, 0.5) and continued by its boundary value
 outside; component two is minus half of component one.  As the scale
 grows the eight tracked quantities (three gradient pairings, two means,
 two exponential masses, and the energy) grow linearly in log(scale),
@@ -15,11 +15,11 @@ and the Liouville mass are closed forms; no quadrature runs here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
-from .cartan import _check_couplings
+from .cartan import FOUR_PI, _check_couplings
 
 if TYPE_CHECKING:
     from .functional import MultiField
@@ -40,7 +40,7 @@ __all__ = [
     "liouville_mass",
 ]
 
-FOUR_PI = 4.0 * np.pi
+DISCARD_TOL = 0.02
 
 QUANTITY_KEYS = (
     "grad1_sq",
@@ -56,11 +56,11 @@ QUANTITY_KEYS = (
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """Scale, center and truncation radius of the concentrating profile."""
+    """Scale and truncation radius of the profile, centered on the torus."""
 
     scale: float
-    center: tuple[float, float] = (0.5, 0.5)
     flat_radius: float = 0.25
+    center: ClassVar[tuple[float, float]] = (0.5, 0.5)
 
     def __post_init__(self):
         if not np.isfinite(self.scale) or self.scale <= 1.0:
@@ -233,13 +233,12 @@ def fit_slopes(
     scales: Sequence[float],
     m: Sequence[float],
     flat_radius: float = 0.25,
-    discard_tol: float = 0.02,
 ) -> SlopeFitReport:
     """Fit each quantity's growth rate over a set of scales.
 
     Needs at least four scales spanning a factor of e^2 or more.  A
     plain linear fit is tried first; if any quantity's residual exceeds
-    discard_tol relative to max(1, |slope|), the smallest scale is
+    DISCARD_TOL relative to max(1, |slope|), the smallest scale is
     dropped as pre-asymptotic and the rest are refit with a 1/scale^2
     transient column.  The report records which scales were used.
     """
@@ -258,7 +257,7 @@ def fit_slopes(
     data = tabulate(used)
     fits = {k: _fit_line(np.log(used), v) for k, v in data.items()}
     worst = max(f.max_residual / max(1.0, abs(f.slope)) for f in fits.values())
-    if worst > discard_tol:
+    if worst > DISCARD_TOL:
         used = sc[1:]
         data = tabulate(used)
         fits = {

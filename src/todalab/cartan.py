@@ -112,10 +112,10 @@ def subset_margin(m: Sequence[float], cartan: CartanMatrix, subset: Iterable[int
 
 def lower_bound_condition(m: Sequence[float]) -> bool:
     """True when every coupling is at most 4 pi (exact comparison)."""
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.size == 0 or np.any(arr <= 0):
-        raise ValueError("couplings must be positive")
-    return bool(np.all(arr <= FOUR_PI))
+    rank = np.size(m)
+    if rank == 0:
+        raise ValueError("coupling vector must be nonempty")
+    return bool(np.all(_check_couplings(m, rank) <= FOUR_PI))
 
 
 def margin_condition(m: Sequence[float], cartan: CartanMatrix) -> bool:

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__, _lazy_getattr
 from ._csv import write_csv
-from .cartan import CartanMatrix, NumericalError, _check_couplings, cartan_su
+from .cartan import (EIGHT_PI, FOUR_PI, CartanMatrix, NumericalError, _check_couplings,
+                     cartan_su)
 
 # what the commands use of the numerical modules, by module.  A name is
 # imported on first access (see __getattr__) and then kept as an attribute
@@ -79,8 +80,6 @@ __all__ = [
 ]
 
 COMMANDS = ("minimize", "sweep", "bubble", "radial", "pohozaev", "identities")
-
-EIGHT_PI = 8.0 * math.pi
 
 IDENTITY_CSV_HEADER = "identity,parameter,measured,expected,residual,bound,status"
 
@@ -595,8 +594,8 @@ def _radial_identity_rows(cartan: Optional[CartanMatrix]) -> list[IdentityRow]:
         rows.append(_fail_row("radial_symmetric", str(exc)))
     try:
         for shot in sweep_shooting(SUITE_A2_VALUES, cartan=cartan):
-            bounds_hold = all(a > 4 * math.pi for a in shot.alpha) and all(
-                b > 4 * math.pi for b in shot.beta
+            bounds_hold = all(a > FOUR_PI for a in shot.alpha) and all(
+                b > FOUR_PI for b in shot.beta
             )
             residual = shot.relation_rel if shot.outcome == "converged" else math.nan
             if not bounds_hold:

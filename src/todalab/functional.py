@@ -239,6 +239,12 @@ def normalize_components(u: MultiField) -> MultiField:
     return MultiField.from_array(u.spec, stacked - shifts)
 
 
+def _require_normalized(stacked: np.ndarray) -> None:
+    """Reject a stack unless every int(exp(u_i)) is 1 to within 1e-8 in log."""
+    if np.any(np.abs(_log_integral_exp(stacked)) > 1e-8):
+        raise ValueError("normalize first")
+
+
 def euler_lagrange_residuals(
     u: MultiField, m: Sequence[float], cartan: CartanMatrix | None = None
 ) -> np.ndarray:
@@ -250,8 +256,7 @@ def euler_lagrange_residuals(
     cartan = resolve_cartan(u.n_components, cartan)
     mv = _check_couplings(m, cartan.rank)
     stacked = u.stack()
-    if np.any(np.abs(_log_integral_exp(stacked)) >= 1e-8):
-        raise ValueError("normalize first")
+    _require_normalized(stacked)
     sources = mv[:, None, None] * (np.exp(stacked) - 1.0)
     res = _neg_laplacian(stacked) - _mix(cartan.entries, sources)
     return np.sqrt(np.sum(res**2, axis=(1, 2)) * u.spec.h**2)

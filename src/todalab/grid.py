@@ -240,11 +240,16 @@ def _periodic_dist_sq(spec: GridSpec, center: tuple[float, float]) -> np.ndarray
     return dx[:, None] ** 2 + dy[None, :] ** 2
 
 
+def _disk_mask(spec: GridSpec, center: tuple[float, float], radius: float) -> np.ndarray:
+    """The cells of a periodic disk; its radius must lie in (0, 0.5], NaN rejected."""
+    if not 0 < radius <= 0.5:
+        raise ValueError("radius must lie in (0, 0.5]")
+    return _periodic_dist_sq(spec, center) <= radius * radius
+
+
 def disk_mass(rho: ScalarField, center: tuple[float, float], radius: float) -> float:
     """Mass of a nonnegative density inside a periodic disk (masked cell sum)."""
-    if radius <= 0 or radius > 0.5:
-        raise ValueError("radius must lie in (0, 0.5]")
+    mask = _disk_mask(rho.spec, center, radius)
     if np.min(rho.values) < 0:
         raise ValueError("density must be nonnegative")
-    mask = _periodic_dist_sq(rho.spec, center) <= radius**2
     return float(np.sum(rho.values[mask])) * rho.spec.h**2

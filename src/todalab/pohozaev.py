@@ -20,14 +20,14 @@ fluctuation part touches the cell mask, keeping constant fields exact.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .cartan import CartanMatrix, _check_couplings, resolve_cartan
 from ._csv import write_csv
-from .functional import MultiField
-from .grid import GridSpec, _log_integral_exp, _periodic_dist_sq, _spatial_gradient
+from .functional import MultiField, _require_normalized
+from .grid import _disk_mask, _spatial_gradient
 
 __all__ = [
     "DiskBalance",
@@ -96,105 +96,6 @@ def _check_disks(radii: Sequence[float], center: tuple[float, float], h: float) 
         raise ValueError("center must lie in the unit torus")
 
 
-class _CheckedState(NamedTuple):
-    """A normalized, resolved state and the derivatives every disk reuses."""
-
-    stacked: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
-    mv: np.ndarray
-    cartan: CartanMatrix
-
-
-def _checked_state(
-    u: MultiField,
-    m: Sequence[float],
-    center: tuple[float, float],
-    radii: Sequence[float],
-    cartan: Optional[CartanMatrix],
-) -> _CheckedState:
-    """Check the couplings, disks and state once, then take its gradient."""
-    cartan = resolve_cartan(u.n_components, cartan)
-    mv = _check_couplings(m, cartan.rank)
-    _check_disks(radii, center, u.spec.h)
-
-    stacked = u.stack()
-    if np.any(np.abs(_log_integral_exp(stacked)) > 1e-8):
-        raise ValueError("normalize first")
-
-    gx, gy = _spatial_gradient(stacked)
-    steepest = float(np.max(np.hypot(gx, gy)))
-    if steepest * u.spec.h > MAX_RESOLVED_GRADIENT:
-        raise ValueError("refine grid")
-    return _CheckedState(stacked, gx, gy, mv, cartan)
-
-
-def _balance(
-    state: _CheckedState, spec: GridSpec, center: tuple[float, float], r: float
-) -> DiskBalance:
-    """Both sides of the disk identity on one disk of a checked state."""
-    stacked, gx, gy, mv, cartan = state
-    h = spec.h
-    cx, cy = center
-    cell = h * h
-
-    # boundary sampling: dense enough that the trapezoid rule resolves
-    # every grid cell the circle crosses
-    npts = 4 * int(np.ceil(2 * np.pi * r / h))
-    theta = 2 * np.pi * np.arange(npts) / npts
-    nx = np.cos(theta)
-    ny = np.sin(theta)
-    bx = (cx + r * nx) % 1.0
-    by = (cy + r * ny) % 1.0
-    ds = 2 * np.pi * r / npts
-
-    u_b = [_bilinear(comp, bx, by) for comp in stacked]
-    gx_b = [_bilinear(comp, bx, by) for comp in gx]
-    gy_b = [_bilinear(comp, bx, by) for comp in gy]
-    dn = [gx_b[i] * nx + gy_b[i] * ny for i in range(cartan.rank)]
-
-    kinv = cartan.inverse_entries
-    stress = 0.0
-    for i in range(cartan.rank):
-        for j in range(cartan.rank):
-            dot = gx_b[i] * gx_b[j] + gy_b[i] * gy_b[j]
-            stress += kinv[i, j] * float(np.sum(dn[i] * dn[j] - 0.5 * dot))
-    boundary_stress = r * stress * ds
-
-    boundary_exp = float(
-        sum(mv[i] * r * np.sum(np.exp(u_b[i])) * ds for i in range(cartan.rank))
-    )
-    boundary_linear = float(
-        sum(mv[i] * r * np.sum(u_b[i]) * ds for i in range(cartan.rank))
-    )
-
-    mask = _periodic_dist_sq(spec, (cx, cy)) <= r * r
-    volume_exp = sum(
-        mv[i] * _disk_integral(np.exp(stacked[i]), mask, cell, r)
-        for i in range(cartan.rank)
-    )
-    volume_linear = float(
-        sum(
-            mv[i] * _disk_integral(stacked[i], mask, cell, r)
-            for i in range(cartan.rank)
-        )
-    )
-
-    lhs = 2.0 * float(volume_exp)
-    rhs = boundary_stress + boundary_exp - boundary_linear + 2.0 * volume_linear
-    return DiskBalance(
-        center=(cx, cy),
-        r=float(r),
-        lhs=lhs,
-        rhs=rhs,
-        residual=lhs - rhs,
-        boundary_stress=boundary_stress,
-        boundary_exp=boundary_exp,
-        boundary_linear=boundary_linear,
-        volume_linear=volume_linear,
-    )
-
-
 def disk_balance(
     u: MultiField,
     m: Sequence[float],
@@ -209,9 +110,7 @@ def disk_balance(
     exponential and linear terms, and the volume linear term.  A zero
     residual (up to quadrature error) certifies local criticality.
     """
-    center = (float(center[0]), float(center[1]))
-    state = _checked_state(u, m, center, (r,), cartan)
-    return _balance(state, u.spec, center, r)
+    return radius_scan(u, m, center, (r,), cartan)[0]
 
 
 def radius_scan(
@@ -228,8 +127,79 @@ def radius_scan(
     if len(radii) == 0:
         raise ValueError("radii must be non-empty")
     center = (float(center[0]), float(center[1]))
-    state = _checked_state(u, m, center, radii, cartan)
-    return tuple(_balance(state, u.spec, center, r) for r in radii)
+    cartan = resolve_cartan(u.n_components, cartan)
+    mv = _check_couplings(m, cartan.rank)
+    h = u.spec.h
+    _check_disks(radii, center, h)
+    stacked = u.stack()
+    _require_normalized(stacked)
+    gx, gy = _spatial_gradient(stacked)
+    steepest = float(np.max(np.hypot(gx, gy)))
+    if steepest * h > MAX_RESOLVED_GRADIENT:
+        raise ValueError("refine grid")
+
+    cx, cy = center
+    cell = h * h
+    kinv = cartan.inverse_entries
+    balances = []
+    for r in radii:
+        # boundary sampling: dense enough that the trapezoid rule resolves
+        # every grid cell the circle crosses
+        npts = 4 * int(np.ceil(2 * np.pi * r / h))
+        theta = 2 * np.pi * np.arange(npts) / npts
+        nx = np.cos(theta)
+        ny = np.sin(theta)
+        bx = (cx + r * nx) % 1.0
+        by = (cy + r * ny) % 1.0
+        ds = 2 * np.pi * r / npts
+
+        u_b = [_bilinear(comp, bx, by) for comp in stacked]
+        gx_b = [_bilinear(comp, bx, by) for comp in gx]
+        gy_b = [_bilinear(comp, bx, by) for comp in gy]
+        dn = [gx_b[i] * nx + gy_b[i] * ny for i in range(cartan.rank)]
+
+        stress = 0.0
+        for i in range(cartan.rank):
+            for j in range(cartan.rank):
+                dot = gx_b[i] * gx_b[j] + gy_b[i] * gy_b[j]
+                stress += kinv[i, j] * float(np.sum(dn[i] * dn[j] - 0.5 * dot))
+        boundary_stress = r * stress * ds
+
+        boundary_exp = float(
+            sum(mv[i] * r * np.sum(np.exp(u_b[i])) * ds for i in range(cartan.rank))
+        )
+        boundary_linear = float(
+            sum(mv[i] * r * np.sum(u_b[i]) * ds for i in range(cartan.rank))
+        )
+
+        mask = _disk_mask(u.spec, center, r)
+        volume_exp = sum(
+            mv[i] * _disk_integral(np.exp(stacked[i]), mask, cell, r)
+            for i in range(cartan.rank)
+        )
+        volume_linear = float(
+            sum(
+                mv[i] * _disk_integral(stacked[i], mask, cell, r)
+                for i in range(cartan.rank)
+            )
+        )
+
+        lhs = 2.0 * float(volume_exp)
+        rhs = boundary_stress + boundary_exp - boundary_linear + 2.0 * volume_linear
+        balances.append(
+            DiskBalance(
+                center=center,
+                r=float(r),
+                lhs=lhs,
+                rhs=rhs,
+                residual=lhs - rhs,
+                boundary_stress=boundary_stress,
+                boundary_exp=boundary_exp,
+                boundary_linear=boundary_linear,
+                volume_linear=volume_linear,
+            )
+        )
+    return tuple(balances)
 
 
 def write_balance_csv(rows: Sequence[DiskBalance], destination) -> None:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .cartan import CartanMatrix, NumericalError, resolve_cartan
+from .cartan import FOUR_PI, CartanMatrix, NumericalError, resolve_cartan
 from ._csv import write_csv
 
 if TYPE_CHECKING:
@@ -48,7 +48,6 @@ SERIES_RADIUS = 1e-4
 SERIES_GROWTH = 1e-3
 FLUX_ABORT = 1e-5
 TAIL_FRACTION = 1e-4
-FOUR_PI = 4.0 * np.pi
 
 
 class BlowUpError(NumericalError):
@@ -326,12 +325,9 @@ def check_mass_relation(alpha1: float, alpha2: float) -> MassRelation:
 
 
 def sweep_shooting(
-    a2_values: Sequence[float],
-    r_max: float = 1000.0,
-    tol: float = 1e-10,
-    cartan: Optional[CartanMatrix] = None,
+    a2_values: Sequence[float], cartan: Optional[CartanMatrix] = None
 ) -> tuple[ShootingRow, ...]:
-    """Integrate the one-parameter family a0 = (0, a2) and summarize.
+    """Integrate the one-parameter family a0 = (0, a2) to r = 1000 and summarize.
 
     The scaling symmetry u(x) -> u(sx) + 2 log s pins a1 = 0 without
     loss.  Rows report masses, exponents, and the mass-relation defect;
@@ -342,7 +338,7 @@ def sweep_shooting(
     rows = []
     for a2 in a2_values:
         try:
-            sol = integrate_radial((0.0, float(a2)), r_max=r_max, tol=tol, cartan=cartan)
+            sol = integrate_radial((0.0, float(a2)), cartan=cartan)
         except BlowUpError:
             rows.append(
                 ShootingRow(float(a2), "blow-up", (0.0, 0.0), (0.0, 0.0), np.nan)

@@ -89,6 +89,12 @@ def test_threshold_condition_boundary():
     assert lower_bound_condition([4 * PI, 4 * PI])
     assert lower_bound_condition([0.1, 4 * PI])
     assert not lower_bound_condition([4 * PI * (1 + 1e-12), PI])
+    # malformed couplings raise, as they do in margin_condition
+    for bad in ([np.nan, PI], [np.inf, PI], [], [0.0, PI]):
+        with pytest.raises(ValueError):
+            lower_bound_condition(bad)
+        with pytest.raises(ValueError):
+            margin_condition(bad, cartan_su(2))
 
 
 def test_threshold_equivalent_to_all_margins_nonnegative():

@@ -274,6 +274,13 @@ def test_disk_mass_refinement_converges():
     assert abs(masses[256] - masses[128]) < 2e-3
 
 
+def test_disk_mass_rejects_bad_radius():
+    rho = ScalarField(GridSpec(16), np.ones((16, 16)))
+    for radius in (0.0, 0.6, np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            disk_mass(rho, (0.0, 0.0), radius)
+
+
 def test_disk_mass_rejects_negative_density():
     spec = GridSpec(16)
     rho = ScalarField(spec, -np.ones(spec.shape))

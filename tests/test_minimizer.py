@@ -106,20 +106,16 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         MinimizeConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
-        MinimizeConfig(step=-1.0)
-    with pytest.raises(ValueError):
         MinimizeConfig(divergence_energy_drop=0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             MinimizeConfig(grad_tol=bad)
-    with pytest.raises(ValueError):
-        MinimizeConfig(concentration_radius=0.0)
-    with pytest.raises(ValueError):
-        MinimizeConfig(concentration_radius=0.6)
-    with pytest.raises(ValueError):
-        MinimizeConfig(concentration_mass=0.5)
-    with pytest.raises(ValueError):
-        MinimizeConfig(concentration_mass=1.0)
+    # the first trial step and the concentration disk are fixed, not settings
+    fixed = {"step": 1.0, "concentration_radius": 0.05, "concentration_mass": 0.9}
+    for name, value in fixed.items():
+        assert getattr(MinimizeConfig(), name) == value
+        with pytest.raises(TypeError):
+            MinimizeConfig(**{name: value})
 
 
 def test_minimize_input_validation():
@@ -659,6 +655,8 @@ def test_detection_radius_validation():
         detect_concentration(flat, radius=0.0)
     with pytest.raises(ValueError):
         detect_concentration(flat, radius=0.7)
+    with pytest.raises(ValueError):
+        detect_concentration(flat, radius=np.nan)
 
 
 # ---------------------------------------------------------------------------

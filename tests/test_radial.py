@@ -1,6 +1,7 @@
 """Radial integrator checks against closed-form solutions and identities."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -274,6 +275,21 @@ def test_series_radius_shrinks_only_for_tall_starts():
 def test_overflowing_first_step_stalls_without_warnings():
     with pytest.raises(BlowUpError, match="integration stalled near radius 0.0001"):
         integrate_radial((0.0, 0.0), cartan=STIFF)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nan_derivative_at_the_hand_over_stalls_at_once():
+    # cross couplings so large that the series hands u = 2500 (past the
+    # blow-up guard) to the integrator, where A e^u is inf - inf = NaN;
+    # the NaN first step used to be rejected forever
+    entries = np.array([[2.0, -1e12], [-1e12, 2.0]])
+    huge = CartanMatrix(2, entries, np.linalg.inv(entries))
+    started = time.perf_counter()
+    with pytest.raises(BlowUpError, match="integration stalled near radius 0.0001"):
+        integrate_radial((0.0, 0.0), cartan=huge)
+    assert time.perf_counter() - started < 1.0
+    rows = sweep_shooting((-1.0, 0.0, 0.5), cartan=huge)
+    assert [row.outcome for row in rows] == ["blow-up"] * 3
 
 
 def test_blow_up_radius_matches_solve_ivp():
