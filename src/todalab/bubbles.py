@@ -245,23 +245,15 @@ def fit_slopes(
     mv = _check_couplings(m, 2)
     sc = _sorted_scales(scales)
 
-    def tabulate(use):
-        table = {k: [] for k in QUANTITY_KEYS}
-        for s in use:
-            q = bubble_quantities(s, mv, flat_radius)
-            for k in QUANTITY_KEYS:
-                table[k].append(q[k])
-        return {k: np.array(v) for k, v in table.items()}
-
+    table = [bubble_quantities(s, mv, flat_radius) for s in sc]
+    data = {k: np.array([q[k] for q in table]) for k in QUANTITY_KEYS}
     used = sc
-    data = tabulate(used)
     fits = {k: _fit_line(np.log(used), v) for k, v in data.items()}
     worst = max(f.max_residual / max(1.0, abs(f.slope)) for f in fits.values())
     if worst > DISCARD_TOL:
         used = sc[1:]
-        data = tabulate(used)
         fits = {
-            k: _fit_line_with_transient(np.log(used), v) for k, v in data.items()
+            k: _fit_line_with_transient(np.log(used), v[1:]) for k, v in data.items()
         }
     return SlopeFitReport(fits, tuple(used), (float(mv[0]), float(mv[1])))
 

@@ -6,10 +6,12 @@ The energy of a tuple v of potentials with coupling vector m is
          + sum_ij a_ij m_i int(v_j)
          - sum_i m_i log int(exp(u_i)),        u = A v,
 
-where A is the coupling matrix.  Substituting u = A v gives the
-equivalent u-form whose quadratic part uses the inverse matrix.  Both
-forms are invariant under adding a constant to any component, and the
-L2 gradient of E in v has components
+where A = cartan_su(N) is the coupling matrix of the N components; the
+functions here build it from N, except the kernels `evaluate` and
+`raw_gradient`, which take it from their caller.  Substituting u = A v
+gives the equivalent u-form whose quadratic part uses the inverse
+matrix.  Both forms are invariant under adding a constant to any
+component, and the L2 gradient of E in v has components
 
     g_k = sum_j a_kj ( -lap v_j + m_j (1 - rho_j) ),
 
@@ -30,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cartan import CartanMatrix, _check_couplings, resolve_cartan
+from .cartan import _check_couplings, cartan_su
 from .grid import (
     GridSpec,
     ScalarField,
@@ -110,16 +112,14 @@ def _linear_combination(f: MultiField, matrix: np.ndarray) -> MultiField:
     return MultiField.from_array(f.spec, _mix(matrix, f.stack()))
 
 
-def u_from_v(v: MultiField, cartan: CartanMatrix | None = None) -> MultiField:
+def u_from_v(v: MultiField) -> MultiField:
     """Apply the coupling matrix componentwise: u_i = sum_j a_ij v_j."""
-    cartan = resolve_cartan(v.n_components, cartan)
-    return _linear_combination(v, cartan.entries)
+    return _linear_combination(v, cartan_su(v.n_components).entries)
 
 
-def v_from_u(u: MultiField, cartan: CartanMatrix | None = None) -> MultiField:
+def v_from_u(u: MultiField) -> MultiField:
     """Invert u_from_v using the exact closed-form inverse."""
-    cartan = resolve_cartan(u.n_components, cartan)
-    return _linear_combination(u, cartan.inverse_entries)
+    return _linear_combination(u, cartan_su(u.n_components).inverse_entries)
 
 
 @dataclass(frozen=True)
@@ -174,27 +174,21 @@ def raw_gradient(
     return _mix(amat, neglap + source), source
 
 
-def energy(
-    v: MultiField, m: Sequence[float], cartan: CartanMatrix | None = None
-) -> EnergyBreakdown:
+def energy(v: MultiField, m: Sequence[float]) -> EnergyBreakdown:
     """Energy in the v-parametrization, by the kernel the descent starts from.
 
     It is evaluated at the zero-mean representative of v, so the linear
     part is zero up to roundoff whatever the means of v.
     """
-    cartan = resolve_cartan(v.n_components, cartan)
-    mv = _check_couplings(m, cartan.rank)
-    return evaluate(v.stack(), cartan.entries, mv).parts
+    mv = _check_couplings(m, v.n_components)
+    return evaluate(v.stack(), cartan_su(v.n_components).entries, mv).parts
 
 
-def energy_u(
-    u: MultiField, m: Sequence[float], cartan: CartanMatrix | None = None
-) -> EnergyBreakdown:
+def energy_u(u: MultiField, m: Sequence[float]) -> EnergyBreakdown:
     """Energy in the u-parametrization (quadratic part via the inverse matrix)."""
-    cartan = resolve_cartan(u.n_components, cartan)
-    mv = _check_couplings(m, cartan.rank)
-    inv = cartan.inverse_entries
-    n = cartan.rank
+    n = u.n_components
+    mv = _check_couplings(m, n)
+    inv = cartan_su(n).inverse_entries
     pair = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
@@ -205,29 +199,23 @@ def energy_u(
     return EnergyBreakdown(quadratic, linear, entropy)
 
 
-def energy_gradient(
-    v: MultiField, m: Sequence[float], cartan: CartanMatrix | None = None
-) -> MultiField:
+def energy_gradient(v: MultiField, m: Sequence[float]) -> MultiField:
     """L2 gradient of the energy in v; each component has zero mean."""
-    cartan = resolve_cartan(v.n_components, cartan)
-    mv = _check_couplings(m, cartan.rank)
-    amat = cartan.entries
+    mv = _check_couplings(m, v.n_components)
+    amat = cartan_su(v.n_components).entries
     ev = evaluate(v.stack(), amat, mv)
     grads, _ = raw_gradient(ev.rho, ev.neglap, amat, mv)
     return MultiField.from_array(v.spec, grads)
 
 
-def precondition_gradient(
-    g: MultiField, cartan: CartanMatrix | None = None
-) -> MultiField:
+def precondition_gradient(g: MultiField) -> MultiField:
     """Smoothing preconditioner: inverse matrix, then inverse Laplacian.
 
     The zero-mean part of each component passes through the inverse
     Laplacian; the mean passes through unchanged so the operator stays
     invertible on constants.
     """
-    cartan = resolve_cartan(g.n_components, cartan)
-    mixed = _mix(cartan.inverse_entries, g.stack())
+    mixed = _mix(cartan_su(g.n_components).inverse_entries, g.stack())
     means = mixed.mean(axis=(1, 2), keepdims=True)
     return MultiField.from_array(g.spec, _inverse_neg_laplacian(mixed) + means)
 
@@ -245,18 +233,15 @@ def _require_normalized(stacked: np.ndarray) -> None:
         raise ValueError("normalize first")
 
 
-def euler_lagrange_residuals(
-    u: MultiField, m: Sequence[float], cartan: CartanMatrix | None = None
-) -> np.ndarray:
+def euler_lagrange_residuals(u: MultiField, m: Sequence[float]) -> np.ndarray:
     """L2 norms of -lap u_i - sum_j a_ij m_j (exp(u_j) - 1), one per component.
 
     Requires a normalized input (every int(exp(u_j)) equal to 1); a
     vanishing residual vector characterizes critical points of the energy.
     """
-    cartan = resolve_cartan(u.n_components, cartan)
-    mv = _check_couplings(m, cartan.rank)
+    mv = _check_couplings(m, u.n_components)
     stacked = u.stack()
     _require_normalized(stacked)
     sources = mv[:, None, None] * (np.exp(stacked) - 1.0)
-    res = _neg_laplacian(stacked) - _mix(cartan.entries, sources)
+    res = _neg_laplacian(stacked) - _mix(cartan_su(u.n_components).entries, sources)
     return np.sqrt(np.sum(res**2, axis=(1, 2)) * u.spec.h**2)

@@ -1,7 +1,8 @@
 """Energy descent, blow-up detection, and coupling-plane classification.
 
 The descent runs in the abstract parametrization with two layers of
-preconditioning: the inverse coupling matrix undoes the cross-component
+preconditioning: the inverse of the coupling matrix A = cartan_su(N),
+built once per descent from the N couplings, undoes the cross-component
 mixing and the zero-mean inverse Laplacian flattens the spectrum of the
 quadratic term.  Their product P = (-lap)^-1 A^-1 is linear, symmetric
 and the exact inverse of the quadratic term, so it serves as the initial
@@ -48,7 +49,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .cartan import CartanMatrix, NumericalError, _check_couplings, resolve_cartan
+from .cartan import NumericalError, _check_couplings, cartan_su
 from ._csv import write_csv
 from .functional import (
     MultiField,
@@ -267,7 +268,6 @@ def minimize(
     spec: GridSpec,
     init: Optional[MultiField] = None,
     config: Optional[MinimizeConfig] = None,
-    cartan: Optional[CartanMatrix] = None,
 ) -> MinimizeReport:
     """Preconditioned descent from init (random smooth start if omitted).
 
@@ -281,20 +281,20 @@ def minimize(
     output); otherwise Budget.
     """
     config = config or MinimizeConfig()
-    cartan = resolve_cartan(len(m), cartan)
-    mv = _check_couplings(m, cartan.rank)
+    rank = len(m)
+    amat = cartan_su(rank).entries
+    mv = _check_couplings(m, rank)
     cell_area = spec.h * spec.h
-    amat = cartan.entries
 
     if init is None:
         rng = np.random.default_rng(config.seed)
         v_stack = np.stack(
-            [random_smooth_field(spec, rng).values for _ in range(cartan.rank)]
+            [random_smooth_field(spec, rng).values for _ in range(rank)]
         )
     else:
         if init.spec != spec:
             raise ValueError("grid mismatch")
-        if init.n_components != cartan.rank:
+        if init.n_components != rank:
             raise ValueError("component count does not match coupling rank")
         v_stack = init.stack()
 
@@ -413,7 +413,7 @@ def minimize(
         status = STATUS_CONVERGED
     else:
         status = STATUS_BUDGET
-    residuals = tuple(float(r) for r in euler_lagrange_residuals(final_u, mv, cartan))
+    residuals = tuple(float(r) for r in euler_lagrange_residuals(final_u, mv))
     return MinimizeReport(
         status=status,
         energy_trace=tuple(trace),
@@ -476,22 +476,20 @@ def _classify(
     m: Sequence[float],
     spec: GridSpec,
     config: Optional[MinimizeConfig] = None,
-    cartan: Optional[CartanMatrix] = None,
 ) -> tuple[str, MinimizeReport]:
     """Classification plus the run that decided it (for sweep rows)."""
     config = config or MinimizeConfig()
-    cartan = resolve_cartan(len(m), cartan)
-    if cartan.rank != 2:
+    if len(m) != 2:
         raise ValueError("classification seeds are defined for two components")
-    zeros = MultiField.zeros(spec, cartan.rank)
-    reports = [minimize(m, spec, init=zeros, config=config, cartan=cartan)]
+    zeros = MultiField.zeros(spec, 2)
+    reports = [minimize(m, spec, init=zeros, config=config)]
     if reports[-1].status == STATUS_UNBOUNDED:
         return STATUS_UNBOUNDED, reports[-1]
     # large scales sit closest to a blow-up and short-circuit soonest
     for scale in (64.0, 16.0, 4.0):
         for component in (0, 1):
-            init = v_from_u(_bubble_seed(spec, scale, component), cartan)
-            report = minimize(m, spec, init=init, config=config, cartan=cartan)
+            init = v_from_u(_bubble_seed(spec, scale, component))
+            report = minimize(m, spec, init=init, config=config)
             if report.status == STATUS_UNBOUNDED:
                 return STATUS_UNBOUNDED, report
             reports.append(report)
@@ -505,7 +503,6 @@ def classify_boundedness(
     m: Sequence[float],
     spec: GridSpec,
     config: Optional[MinimizeConfig] = None,
-    cartan: Optional[CartanMatrix] = None,
 ) -> str:
     """Bounded, Unbounded, or Inconclusive at one coupling pair.
 
@@ -515,7 +512,7 @@ def classify_boundedness(
     (typically budget-limited relaxation near the threshold) is
     Inconclusive.
     """
-    status, _ = _classify(m, spec, config, cartan)
+    status, _ = _classify(m, spec, config)
     return status
 
 
@@ -534,11 +531,10 @@ def _sweep_row(
     m: tuple[float, float],
     spec: GridSpec,
     config: Optional[MinimizeConfig],
-    cartan: Optional[CartanMatrix],
 ) -> SweepRow:
     """One sweep cell: its classification and the deciding run's numbers."""
     m1, m2 = m
-    status, report = _classify((m1, m2), spec, config, cartan)
+    status, report = _classify((m1, m2), spec, config)
     return SweepRow(
         m1=float(m1),
         m2=float(m2),
@@ -554,7 +550,6 @@ def sweep(
     couplings: Sequence[tuple[float, float]],
     spec: GridSpec,
     config: Optional[MinimizeConfig] = None,
-    cartan: Optional[CartanMatrix] = None,
 ) -> tuple[SweepRow, ...]:
     """Classify each coupling pair; rows keep the input order.
 
@@ -570,7 +565,7 @@ def sweep(
     """
     if len(couplings) == 0:
         raise ValueError("empty coupling list")
-    row = partial(_sweep_row, spec=spec, config=config, cartan=cartan)
+    row = partial(_sweep_row, spec=spec, config=config)
     workers = min(len(os.sched_getaffinity(0)), len(couplings))
     if workers == 1:
         return tuple(map(row, couplings))

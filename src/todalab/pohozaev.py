@@ -2,8 +2,9 @@
 
 For a normalized critical point the components satisfy
 -Delta u_i = sum_j a_ij m_j (e^{u_j} - 1).  Multiplying by the dilation
-field X = x - x0, pairing through the inverse coupling matrix, and
-integrating over a disk B of radius r yields the exact balance
+field X = x - x0, pairing through the inverse coupling matrix Kinv
+(of cartan_su(N), for the N components of the state), and integrating
+over a disk B of radius r yields the exact balance
 
     2 sum_i m_i int_B e^{u_i}
       = sum_ij (Kinv)_ij oint r [dn u_i dn u_j - (1/2) grad u_i . grad u_j]
@@ -20,11 +21,11 @@ fluctuation part touches the cell mask, keeping constant fields exact.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cartan import CartanMatrix, _check_couplings, resolve_cartan
+from .cartan import _check_couplings, cartan_su
 from ._csv import write_csv
 from .functional import MultiField, _require_normalized
 from .grid import _disk_mask, _spatial_gradient
@@ -101,7 +102,6 @@ def disk_balance(
     m: Sequence[float],
     center: tuple[float, float],
     r: float,
-    cartan: Optional[CartanMatrix] = None,
 ) -> DiskBalance:
     """Evaluate both sides of the disk identity for a normalized state.
 
@@ -110,7 +110,7 @@ def disk_balance(
     exponential and linear terms, and the volume linear term.  A zero
     residual (up to quadrature error) certifies local criticality.
     """
-    return radius_scan(u, m, center, (r,), cartan)[0]
+    return radius_scan(u, m, center, (r,))[0]
 
 
 def radius_scan(
@@ -118,7 +118,6 @@ def radius_scan(
     m: Sequence[float],
     center: tuple[float, float],
     radii: Sequence[float],
-    cartan: Optional[CartanMatrix] = None,
 ) -> tuple[DiskBalance, ...]:
     """Evaluate the balance on a family of concentric disks.
 
@@ -127,8 +126,8 @@ def radius_scan(
     if len(radii) == 0:
         raise ValueError("radii must be non-empty")
     center = (float(center[0]), float(center[1]))
-    cartan = resolve_cartan(u.n_components, cartan)
-    mv = _check_couplings(m, cartan.rank)
+    rank = u.n_components
+    mv = _check_couplings(m, rank)
     h = u.spec.h
     _check_disks(radii, center, h)
     stacked = u.stack()
@@ -140,7 +139,7 @@ def radius_scan(
 
     cx, cy = center
     cell = h * h
-    kinv = cartan.inverse_entries
+    kinv = cartan_su(rank).inverse_entries
     balances = []
     for r in radii:
         # boundary sampling: dense enough that the trapezoid rule resolves
@@ -156,31 +155,31 @@ def radius_scan(
         u_b = [_bilinear(comp, bx, by) for comp in stacked]
         gx_b = [_bilinear(comp, bx, by) for comp in gx]
         gy_b = [_bilinear(comp, bx, by) for comp in gy]
-        dn = [gx_b[i] * nx + gy_b[i] * ny for i in range(cartan.rank)]
+        dn = [gx_b[i] * nx + gy_b[i] * ny for i in range(rank)]
 
         stress = 0.0
-        for i in range(cartan.rank):
-            for j in range(cartan.rank):
+        for i in range(rank):
+            for j in range(rank):
                 dot = gx_b[i] * gx_b[j] + gy_b[i] * gy_b[j]
                 stress += kinv[i, j] * float(np.sum(dn[i] * dn[j] - 0.5 * dot))
         boundary_stress = r * stress * ds
 
         boundary_exp = float(
-            sum(mv[i] * r * np.sum(np.exp(u_b[i])) * ds for i in range(cartan.rank))
+            sum(mv[i] * r * np.sum(np.exp(u_b[i])) * ds for i in range(rank))
         )
         boundary_linear = float(
-            sum(mv[i] * r * np.sum(u_b[i]) * ds for i in range(cartan.rank))
+            sum(mv[i] * r * np.sum(u_b[i]) * ds for i in range(rank))
         )
 
         mask = _disk_mask(u.spec, center, r)
         volume_exp = sum(
             mv[i] * _disk_integral(np.exp(stacked[i]), mask, cell, r)
-            for i in range(cartan.rank)
+            for i in range(rank)
         )
         volume_linear = float(
             sum(
                 mv[i] * _disk_integral(stacked[i], mask, cell, r)
-                for i in range(cartan.rank)
+                for i in range(rank)
             )
         )
 

@@ -116,6 +116,7 @@ class ShootingRow:
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
     relation_rel: float
+    solution: Optional[RadialSolution] = field(default=None, repr=False, compare=False)
 
 
 def _check_settings(
@@ -330,10 +331,11 @@ def sweep_shooting(
     """Integrate the one-parameter family a0 = (0, a2) to r = 1000 and summarize.
 
     The scaling symmetry u(x) -> u(sx) + 2 log s pins a1 = 0 without
-    loss.  Rows report masses, exponents, and the mass-relation defect;
-    runs whose tails have not settled at r_max come back with outcome
-    "tail" and blow-ups with outcome "blow-up" (masses zeroed), neither
-    treated as an error.
+    loss.  Rows report masses, exponents, and the mass-relation defect,
+    and carry the profile they summarize; runs whose tails have not
+    settled at r_max come back with outcome "tail" and blow-ups with
+    outcome "blow-up" (masses zeroed, no profile), neither treated as an
+    error.
     """
     rows = []
     for a2 in a2_values:
@@ -349,7 +351,7 @@ def sweep_shooting(
         except ValueError:
             alpha = tuple(float(a) for a in sol.alpha[:, -1])
             beta = tuple(float(b) for b in sol.cartan.entries @ sol.alpha[:, -1])
-            rows.append(ShootingRow(float(a2), "tail", alpha, beta, np.nan))
+            rows.append(ShootingRow(float(a2), "tail", alpha, beta, np.nan, sol))
             continue
         relation = check_mass_relation(*report.alpha)
         rows.append(
@@ -359,6 +361,7 @@ def sweep_shooting(
                 report.alpha,
                 report.beta,
                 abs(relation.relative),
+                sol,
             )
         )
     return tuple(rows)

@@ -289,6 +289,52 @@ def test_corrupted_coupling_fails_mass_relation_rows(tmp_path):
     assert all(row.endswith("FAIL") for row in relation_rows)
 
 
+def test_radial_identities_integrate_each_start_once(tmp_path, monkeypatch):
+    # the symmetric rows read a0 = (0, 0) from the shooting family's a2 = 0 row
+    import todalab.cli as cli
+    import todalab.radial as radial
+
+    integrate = radial.integrate_radial
+    starts = []
+
+    def counting(a0, *args, **kwargs):
+        starts.append(tuple(a0))
+        return integrate(a0, *args, **kwargs)
+
+    monkeypatch.setattr(radial, "integrate_radial", counting)
+    monkeypatch.setattr(cli, "integrate_radial", counting, raising=False)
+    code, out = run(tmp_path, "identities", "--only", "radial")
+    assert code == 0
+    assert len(starts) == 5
+    assert len(set(starts)) == 5
+    lines = (out / "identities.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + 12
+    assert all(line.endswith("PASS") for line in lines[1:])
+
+
+def test_symmetric_blow_up_is_one_failed_row(monkeypatch):
+    import todalab.cli as cli
+    import todalab.radial as radial
+
+    integrate = radial.integrate_radial
+
+    def blowing_up_at_origin(a0, *args, **kwargs):
+        if tuple(a0) == (0.0, 0.0):
+            raise radial.BlowUpError("profile blew up near radius 3", 3.0)
+        return integrate(a0, *args, **kwargs)
+
+    monkeypatch.setattr(radial, "integrate_radial", blowing_up_at_origin)
+    monkeypatch.setattr(cli, "integrate_radial", blowing_up_at_origin, raising=False)
+    rows = emit_identity_suite(only="radial")
+    symmetric = [row for row in rows if row.identity == "radial_symmetric"]
+    assert len(symmetric) == 1
+    assert symmetric[0].status == "FAIL"
+    assert [row.parameter for row in rows[1:]] == [
+        "a2=-1.5", "a2=-1", "a2=-0.5", "a2=0", "a2=0.5"
+    ]
+    assert rows[4].status == "FAIL"
+
+
 def test_emit_identity_suite_rows_have_measured_residuals():
     rows = emit_identity_suite(only="bubble")
     assert len(rows) == 8

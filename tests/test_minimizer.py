@@ -125,10 +125,7 @@ def test_minimize_input_validation():
     with pytest.raises(ValueError, match="grid mismatch"):
         minimize((3.0, 3.0), spec, init=init)
     with pytest.raises(ValueError, match="component count"):
-        minimize((3.0, 3.0, 3.0), spec, init=MultiField.zeros(spec, 2),
-                 cartan=cartan_su(3))
-    with pytest.raises(ValueError, match="rank"):
-        minimize((3.0, 3.0, 3.0), spec, cartan=cartan_su(2))
+        minimize((3.0, 3.0, 3.0), spec, init=MultiField.zeros(spec, 2))
     with pytest.raises(ValueError):
         minimize((-1.0, 3.0), spec)
 
@@ -269,10 +266,9 @@ def descend_counting_detector(monkeypatch, m, spec, init):
 
 def test_supercritical_first_coupling_blows_up_from_bubble_seed(monkeypatch):
     spec = GridSpec(64)
-    cartan = cartan_su(2)
     seed = standard_bubble(BubbleParams(scale=8.0), spec)
     report, calls, expected = descend_counting_detector(
-        monkeypatch, (5 * PI, 3 * PI), spec, v_from_u(seed, cartan)
+        monkeypatch, (5 * PI, 3 * PI), spec, v_from_u(seed)
     )
     assert report.status == "Unbounded"
     trace = np.asarray(report.energy_trace)
@@ -309,11 +305,11 @@ def test_accumulated_energy_matches_fresh_evaluation(monkeypatch, m):
                         or reports[-1])
     spec = GridSpec(64)
     cartan = cartan_su(2)
-    _classify(m, spec, cartan=cartan)
+    _classify(m, spec)
     assert any(r.iterations > 0 for r in reports)
     for r in reports:
         fresh = evaluate(
-            v_from_u(r.final_u, cartan).stack(), cartan.entries, np.asarray(m)
+            v_from_u(r.final_u).stack(), cartan.entries, np.asarray(m)
         ).parts.total
         scale = max(1.0, abs(r.energy_trace[0]))
         assert abs(fresh - r.energy_trace[-1]) <= 1e-12 * scale
@@ -339,9 +335,8 @@ def test_bubble_seed_relaxes_to_flat_state_and_converges():
     axis = sweep_axis(1.068)
     m = (axis[2], axis[5])
     spec = GridSpec(64)
-    cartan = cartan_su(2)
-    init = v_from_u(_bubble_seed(spec, 64.0, 1), cartan)
-    report = minimize(m, spec, init=init, cartan=cartan)
+    init = v_from_u(_bubble_seed(spec, 64.0, 1))
+    report = minimize(m, spec, init=init)
     assert report.status == "Converged"
     assert max(report.el_residuals) < 10 * MinimizeConfig().grad_tol
 
@@ -452,7 +447,7 @@ def test_each_iteration_runs_one_inverse_laplacian(monkeypatch):
     monkeypatch.setattr(minimizer, "_inverse_neg_laplacian",
                         lambda values: calls.append(1) or inverse(values))
     spec = GridSpec(64)
-    init = v_from_u(_bubble_seed(spec, 16.0, 0), cartan_su(2))
+    init = v_from_u(_bubble_seed(spec, 16.0, 0))
     report = minimize((3.9 * PI, 3.9 * PI), spec, init=init)
     assert report.status == "Converged"
     assert report.iterations > 10
@@ -502,10 +497,9 @@ def test_extreme_couplings_end_cleanly(m1, m2, seed, early_stop):
     # orders of magnitude, and without the early stop the descent chases
     # a grid-scale spike whose density underflows almost everywhere
     spec = GridSpec(16)
-    cartan = cartan_su(2)
     config = MinimizeConfig(divergence_energy_drop=14.0 if early_stop else 1e300)
     inits = [random_init(spec, seed)] + [
-        v_from_u(_bubble_seed(spec, scale, component), cartan)
+        v_from_u(_bubble_seed(spec, scale, component))
         for scale, component in ((64.0, 0), (4.0, 1))
     ]
     for init in inits:
@@ -683,10 +677,18 @@ def test_classify_boundary_point_is_not_unbounded():
     )
 
 
+def test_rank_three_descent_converges():
+    spec = GridSpec(32)
+    report = minimize((3 * PI, 3 * PI, 3 * PI), spec)
+    assert report.status == "Converged"
+    assert report.final_u.n_components == 3
+    assert max(report.el_residuals) < 10 * MinimizeConfig().grad_tol
+
+
 def test_classify_requires_two_components():
     spec = GridSpec(32)
     with pytest.raises(ValueError, match="two components"):
-        classify_boundedness((PI, PI, PI), spec, cartan=cartan_su(3))
+        classify_boundedness((PI, PI, PI), spec)
 
 
 def test_sweep_single_subcritical_point():
@@ -752,7 +754,7 @@ def test_pool_sweep_matches_in_process_classification(monkeypatch):
     assert list(sweep(POOL_CELLS[::-1], spec)) == expected[::-1]
 
 
-def pid_classify(m, spec, config=None, cartan=None):
+def pid_classify(m, spec, config=None):
     """Stand-in for _classify whose status names the process that ran it."""
     spot = ConcentrationSpot(mass=0.0, center=(0.0, 0.0))
     report = SimpleNamespace(energy_trace=(0.0,), max_field=0.0, concentration=(spot, spot))
@@ -775,10 +777,10 @@ def test_worker_error_reaches_the_caller_with_its_trace(monkeypatch):
     use_cpus(monkeypatch, 2)
     classify = minimizer._classify
 
-    def failing_classify(m, spec, config=None, cartan=None):
+    def failing_classify(m, spec, config=None):
         if m == POOL_CELLS[1]:
             raise NonFiniteEnergyError("non-finite energy at iteration 2", [3.0, 1.0, np.nan])
-        return classify(m, spec, config, cartan)
+        return classify(m, spec, config)
 
     monkeypatch.setattr(minimizer, "_classify", failing_classify)
     with pytest.raises(NonFiniteEnergyError) as excinfo:

@@ -73,6 +73,16 @@ def test_converged_minimizer_balances():
         assert abs(b.residual) < 1e-3
 
 
+def test_rank_three_converged_state_balances():
+    m = (3 * PI, 3 * PI, 3 * PI)
+    report = minimize(m, GridSpec(32))
+    assert report.status == "Converged"
+    for b in radius_scan(report.final_u, m, (0.5, 0.5), (0.15, 0.2, 0.3)):
+        # the state is flat to about 1e-6, so each disk holds mass pi r^2
+        assert b.lhs == pytest.approx(2 * sum(m) * PI * b.r**2, rel=1e-5)
+        assert abs(b.residual) < 1e-6
+
+
 def test_residual_shrinks_under_refinement_for_converged_states():
     # subcritical descent lands within ~grad_tol of the flat solution, and
     # the first-order term of the balance cancels, so the residual sits far

@@ -8,6 +8,7 @@ one short command through them and put the originals back.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -57,3 +58,11 @@ def test_tracer_reads_names_that_exist(monkeypatch):
     from todalab import MinimizeConfig
 
     assert MinimizeConfig().concentration_radius > 0
+
+
+def test_minimize_takes_the_descent_config_fourth():
+    # the tracer's on_minimize reads a positional config from args[3]
+    from todalab import minimizer
+
+    params = list(inspect.signature(minimizer.minimize).parameters)
+    assert params[3] == "config"
