@@ -1,4 +1,4 @@
-"""Numerical laboratory for a two-component coupled mean-field system.
+"""Numerical laboratory for the SU(N+1) Toda system, a coupled mean-field system.
 
 The public names below are resolved on first access (PEP 562), so
 `import todalab` loads no submodule and a command imports only the

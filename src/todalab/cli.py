@@ -23,49 +23,20 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, _lazy_getattr
+from . import _EXPORTS, __version__, _lazy_getattr
 from ._csv import write_csv
 from .cartan import EIGHT_PI, FOUR_PI, CartanMatrix, NumericalError, _check_couplings
 
-# what the commands use of the numerical modules, by module.  A name is
-# imported on first access (see __getattr__) and then kept as an attribute
-# of this module, so a process loads only the modules its command runs,
-# and a replacement set here (the benchmark tracer wraps cli.minimize,
-# cli.sweep, ...) is what the commands call.
-_CALLEES = {
-    name: module
-    for module, names in {
-        "grid": ("GridSpec",),
-        "minimizer": ("MinimizeConfig", "minimize", "sweep", "write_region_csv"),
-        "pohozaev": ("_check_disks", "radius_scan", "write_balance_csv"),
-        "bubbles": (
-            "QUANTITY_KEYS",
-            "_check_flat_radius",
-            "_sorted_scales",
-            "asymptotic_slope_table",
-            "fit_slopes",
-        ),
-        "radial": (
-            "BlowUpError",
-            "_check_settings",
-            "ball_pohozaev",
-            "check_mass_relation",
-            "flux_residuals",
-            "integrate_radial",
-            "masses_and_exponents",
-            "sweep_shooting",
-            "write_solution_csv",
-        ),
-    }.items()
-    for name in names
-}
-
-
-__getattr__ = _lazy_getattr(globals(), _CALLEES)
+# the numerical modules' public names, through the package's own table: a
+# name is imported on first access (see __getattr__) and then kept as an
+# attribute of this module, so a process loads only the modules its command
+# runs, and a replacement set here (the benchmark tracer wraps cli.minimize,
+# cli.sweep, ...) is what the commands call
+__getattr__ = _lazy_getattr(globals(), _EXPORTS)
 
 
 def _callees(*names: str) -> tuple:
-    """The named entries of _CALLEES, read as attributes of this module."""
+    """The named package exports (see _EXPORTS), read as attributes of this module."""
     this = sys.modules[__name__]
     return tuple(getattr(this, name) for name in names)
 
@@ -77,8 +48,6 @@ __all__ = [
     "emit_identity_suite",
     "main",
 ]
-
-COMMANDS = ("minimize", "sweep", "bubble", "radial", "pohozaev", "identities")
 
 IDENTITY_CSV_HEADER = "identity,parameter,measured,expected,residual,bound,status"
 
@@ -93,23 +62,62 @@ class CliError(ValueError):
     """Bad flags, bad config keys, or failed module preconditions."""
 
 
-def parse_pi_value(text: str) -> float:
+def _parser(what: str, convert: Callable[[str], object]) -> Callable[[str], object]:
+    """A one-value parser: convert on the stripped text.
+
+    A failed conversion (ValueError, or OverflowError as in 'e1000') is
+    CliError("cannot parse <what> '<text>'").
+    """
+
+    def parse(text: str):
+        t = text.strip()
+        try:
+            return convert(t)
+        except (ValueError, OverflowError):
+            raise CliError(f"cannot parse {what} '{t}'") from None
+
+    return parse
+
+
+def _list_parser(item: Callable[[str], object], message: str,
+                 size: Optional[int] = None) -> Callable[[str], tuple]:
+    """A comma-separated list parser: item on each non-blank entry.
+
+    CliError(message) when there is no entry, or not exactly size of them.
+    """
+
+    def parse(text: str) -> tuple:
+        parts = [p for p in text.split(",") if p.strip()]
+        if not parts or (size is not None and len(parts) != size):
+            raise CliError(message)
+        return tuple(item(p) for p in parts)
+
+    return parse
+
+
+def _pi_multiple(t: str) -> float:
     """A float with an optional literal pi suffix: '4pi', '3.0pi', 'pi'."""
-    t = text.strip().lower()
-    try:
-        if t.endswith("pi"):
-            head = t[:-2].strip()
-            return (float(head) if head else 1.0) * math.pi
-        return float(t)
-    except ValueError:
-        raise CliError(f"cannot parse value '{text.strip()}'") from None
+    t = t.lower()
+    if t.endswith("pi"):
+        head = t[:-2].strip()
+        return (float(head) if head else 1.0) * math.pi
+    return float(t)
 
 
-def parse_couplings(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise CliError("couplings must be a comma-separated list")
-    return tuple(parse_pi_value(p) for p in parts)
+def _scale(t: str) -> float:
+    """A scale value, either a plain float or 'eK' meaning exp(K)."""
+    t = t.lower()
+    return math.e ** float(t[1:]) if t.startswith("e") else float(t)
+
+
+parse_pi_value = _parser("value", _pi_multiple)
+parse_scale = _parser("scale", _scale)
+parse_int = _parser("integer", int)
+parse_float = _parser("number", float)
+parse_couplings = _list_parser(parse_pi_value, "couplings must be a comma-separated list")
+parse_scales = _list_parser(parse_scale, "scales must be a comma-separated list")
+parse_floats = _list_parser(parse_float, "expected a comma-separated list of numbers")
+parse_pair = _list_parser(parse_float, "expected exactly two comma-separated numbers", size=2)
 
 
 def parse_range(text: str) -> tuple[float, float]:
@@ -133,58 +141,6 @@ def parse_grid_shape(text: str) -> tuple[int, int]:
     if k1 < 1 or k2 < 1:
         raise CliError("grid shape must be positive")
     return k1, k2
-
-
-def parse_scale(text: str) -> float:
-    """A scale value, either a plain float or 'eK' meaning exp(K)."""
-    t = text.strip().lower()
-    if t.startswith("e") and t[1:]:
-        try:
-            return math.e ** float(t[1:])
-        except ValueError:
-            pass
-    try:
-        return float(t)
-    except ValueError:
-        raise CliError(f"cannot parse scale '{text.strip()}'") from None
-
-
-def parse_scales(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise CliError("scales must be a comma-separated list")
-    return tuple(parse_scale(p) for p in parts)
-
-
-def parse_floats(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise CliError("expected a comma-separated list of numbers")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise CliError(f"cannot parse number list '{text.strip()}'") from None
-
-
-def parse_pair(text: str) -> tuple[float, float]:
-    vals = parse_floats(text)
-    if len(vals) != 2:
-        raise CliError("expected exactly two comma-separated numbers")
-    return vals[0], vals[1]
-
-
-def parse_int(text: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise CliError(f"cannot parse integer '{text.strip()}'") from None
-
-
-def parse_float(text: str) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise CliError(f"cannot parse number '{text.strip()}'") from None
 
 
 def parse_bool(text: str) -> bool:
@@ -229,7 +185,6 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("m-grid", parse_grid_shape, "9x9", "coupling grid shape, e.g. 9x9"),
         Option("range", parse_range, "1pi:5pi", "coupling range lo:hi per axis"),
         Option("n", parse_int, "64", "grid cells per side (power of two)"),
-        Option("seed", parse_int, "0", "rng seed shared by all cells"),
     ),
     "bubble": (
         Option("m", parse_couplings, "3.0pi,3.0pi", "couplings, pi suffix allowed"),
@@ -297,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="torus energy minimization and radial identity checks",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command in OPTIONS:
         sub = subs.add_parser(command)
         sub.add_argument("--config", default=None, help="flat key=value config file")
         for opt in OPTIONS[command] + COMMON_OPTIONS:
@@ -361,14 +316,19 @@ def _precheck(config: RunConfig) -> None:
         _minimize_config(config)
     if config.command in ("minimize", "pohozaev"):
         _check_couplings(config.couplings, len(config.couplings))
+    if config.command == "sweep":
+        # the range ends are the sweep's extreme couplings
+        _check_couplings(config.values["range"], 2)
     if config.command in ("bubble", "identities"):
         # the bubble family and its slope table are rank 2
         _check_couplings(config.couplings, 2)
     if config.command == "pohozaev":
-        (_check_disks,) = _callees("_check_disks")
+        from .pohozaev import _check_disks
+
         _check_disks(config.values["radii"], config.values["center"], 1.0 / config.n)
     if config.command == "radial":
-        (_check_settings,) = _callees("_check_settings")
+        from .radial import _check_settings
+
         _check_settings(
             config.values["a0"],
             config.values["r_max"],
@@ -376,7 +336,8 @@ def _precheck(config: RunConfig) -> None:
             config.values["nodes"],
         )
     if config.command == "bubble":
-        _sorted_scales, _check_flat_radius = _callees("_sorted_scales", "_check_flat_radius")
+        from .bubbles import _check_flat_radius, _sorted_scales
+
         _sorted_scales(config.values["scales"])
         _check_flat_radius(config.values["flat_radius"])
 
@@ -452,9 +413,9 @@ def _run_sweep(config: RunConfig) -> int:
 
 
 def _run_bubble(config: RunConfig) -> int:
-    QUANTITY_KEYS, asymptotic_slope_table, fit_slopes = _callees(
-        "QUANTITY_KEYS", "asymptotic_slope_table", "fit_slopes"
-    )
+    from .bubbles import QUANTITY_KEYS
+
+    asymptotic_slope_table, fit_slopes = _callees("asymptotic_slope_table", "fit_slopes")
     report = fit_slopes(
         config.values["scales"],
         config.couplings,
@@ -604,9 +565,9 @@ def _radial_identity_rows(cartan: Optional[CartanMatrix]) -> list[IdentityRow]:
 
 
 def _bubble_identity_rows(m: Sequence[float]) -> list[IdentityRow]:
-    QUANTITY_KEYS, asymptotic_slope_table, fit_slopes = _callees(
-        "QUANTITY_KEYS", "asymptotic_slope_table", "fit_slopes"
-    )
+    from .bubbles import QUANTITY_KEYS
+
+    asymptotic_slope_table, fit_slopes = _callees("asymptotic_slope_table", "fit_slopes")
     rows: list[IdentityRow] = []
     try:
         report = fit_slopes(SUITE_SCALES, m)

@@ -241,6 +241,68 @@ def test_bad_settings_exit_2_before_compute(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("minimize", "--m", ","), "couplings must be a comma-separated list"),
+        (("bubble", "--scales", " , "), "scales must be a comma-separated list"),
+        (("radial", "--a0", ","), "expected a comma-separated list of numbers"),
+        (("sweep", "--range", "1pi"), "range must look like '1pi:5pi'"),
+        (("sweep", "--m-grid", "9by9"), "grid shape must look like '9x9'"),
+        (("sweep", "--m-grid", "ax9"), "grid shape must look like '9x9'"),
+        (("sweep", "--m-grid", "0x9"), "grid shape must be positive"),
+        (("bubble", "--scales", "e2,big,e4,e5"), "cannot parse scale 'big'"),
+        (("bubble", "--scales", "e1000,e2,e3,e4"), "cannot parse scale 'e1000'"),
+        (("radial", "--r-max", "far"), "cannot parse number 'far'"),
+        (("radial", "--a0", "0,x"), "cannot parse number 'x'"),
+        (("pohozaev", "--center", "0.5"), "expected exactly two comma-separated numbers"),
+        (("minimize", "--summary-only", "maybe"), "cannot parse boolean 'maybe'"),
+        (("identities", "--only", "some"), "expected one of all, bubble, radial; got 'some'"),
+    ],
+)
+def test_unparsable_input_exits_2_with_one_line(tmp_path, capsys, args, message):
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_unusable_config_file_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 32\nseed 7\n")
+    code, out = run(tmp_path, "minimize", "--config", str(cfg))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key = value\n"
+    missing = tmp_path / "missing.cfg"
+    code, out = run(tmp_path, "minimize", "--config", str(missing))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
+    assert str(missing) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds", ["-1pi:1pi", "0:1pi", "1pi:inf"])
+def test_sweep_range_ends_must_be_couplings(tmp_path, capsys, bounds):
+    code, out = run(tmp_path, "sweep", "--m-grid", "2x2", f"--range={bounds}", "--n", "16")
+    assert code == 2
+    assert capsys.readouterr().err == "error: couplings must be positive and finite\n"
+    assert not out.exists()
+
+
+def test_sweep_takes_no_seed(tmp_path, capsys):
+    # every classification descent starts from the flat field or a bubble
+    code, out = run(tmp_path, "sweep", "--seed", "3")
+    assert code == 2
+    assert not out.exists()
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("m-grid = 2x2\nseed = 3\n")
+    code, out = run(tmp_path, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key: seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pohozaev_command_scans_radii(tmp_path):
     code, out = run(
         tmp_path, "pohozaev", "--n", "32", "--radii", "0.15,0.2"
@@ -403,8 +465,8 @@ def test_lazy_names_are_their_submodules_objects():
 
     import todalab.cli as cli
 
-    for owner, table in ((todalab, todalab._EXPORTS), (cli, cli._CALLEES)):
-        for name, module in table.items():
+    for owner in (todalab, cli):
+        for name, module in todalab._EXPORTS.items():
             home = importlib.import_module(f"todalab.{module}")
             assert getattr(owner, name) is getattr(home, name), name
     assert set(todalab._EXPORTS) <= set(dir(todalab))

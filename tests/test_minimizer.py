@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from todalab.bubbles import BubbleParams, standard_bubble
 from todalab.cartan import cartan_su
-from todalab.functional import MultiField, _mix, energy, evaluate, v_from_u
+from todalab.functional import (
+    MultiField,
+    _mix,
+    energy,
+    energy_gradient,
+    evaluate,
+    precondition_gradient,
+    v_from_u,
+)
 from todalab.grid import (
     GridSpec,
     ScalarField,
@@ -134,11 +142,12 @@ def test_minimize_input_validation():
 # convergence below the threshold
 
 
-def test_zero_init_is_an_exact_critical_point():
+@pytest.mark.parametrize("k", [1e-6, 3.0, 1e3])
+def test_zero_init_is_an_exact_critical_point(k):
     # the flat field solves the stationarity system for every coupling,
     # so descent must stop immediately with an exactly zero energy
     spec = GridSpec(64)
-    report = minimize((3 * PI, 3 * PI), spec, init=MultiField.zeros(spec, 2))
+    report = minimize((k * PI, k * PI), spec, init=MultiField.zeros(spec, 2))
     assert report.status == "Converged"
     assert report.iterations == 0
     assert report.energy_trace == (0.0,)
@@ -454,6 +463,24 @@ def test_each_iteration_runs_one_inverse_laplacian(monkeypatch):
     assert len(calls) == report.iterations + 1
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_first_preconditioned_gradient_matches_precondition_gradient(monkeypatch, rank):
+    # the descent forms P g as v0 + (-lap)^-1 s from its own pieces, while
+    # precondition_gradient applies A^-1 and (-lap)^-1 to the L2 gradient
+    inverse = minimizer._inverse_neg_laplacian
+    outputs = []
+    monkeypatch.setattr(minimizer, "_inverse_neg_laplacian",
+                        lambda values: outputs.append(inverse(values)) or outputs[-1])
+    spec = GridSpec(32)
+    rng = np.random.default_rng(rank)
+    v = MultiField(tuple(random_smooth_field(spec, rng) for _ in range(rank)))
+    m = tuple((2.0 + 0.5 * k) * PI for k in range(rank))
+    minimize(m, spec, init=v, config=MinimizeConfig(max_iters=1))
+    descent = _centered(v.stack()) + outputs[0]
+    oracle = precondition_gradient(energy_gradient(v, m)).stack()
+    assert np.linalg.norm(descent - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
 @pytest.mark.parametrize("n, pairs", [(32, 5), (64, 5), (128, 2), (256, 0)])
 def test_history_fits_its_byte_budget(monkeypatch, n, pairs):
     history = minimizer._History
@@ -675,6 +702,15 @@ def test_classify_boundary_point_is_not_unbounded():
         "Bounded",
         "Inconclusive",
     )
+
+
+def test_classify_budget_limited_seeds_are_inconclusive():
+    # one iteration settles the flat start, an exact critical point, but
+    # no bubble seed; the first unfinished run is the one reported
+    spec, config = GridSpec(32), MinimizeConfig(max_iters=1)
+    assert classify_boundedness((2 * PI, 2 * PI), spec, config) == "Inconclusive"
+    status, report = _classify((2 * PI, 2 * PI), spec, config)
+    assert (status, report.status) == ("Inconclusive", "Budget")
 
 
 def test_rank_three_descent_converges():
