@@ -23,8 +23,8 @@ _EXPORTS = {
             "standard_bubble",
         ),
         "cartan": (
-            "CartanMatrix",
             "cartan_su",
+            "cartan_su_inverse",
             "lower_bound_condition",
             "margin_condition",
             "subset_margin",

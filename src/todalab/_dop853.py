@@ -396,17 +396,15 @@ def integrate(
 ) -> Dop853Result:
     """Integrate y' = fun(t, y) forward over t_span with rtol = atol = tol.
 
-    t_span must be finite with t0 < tf (a NaN bound never ends the run)
-    and t_eval increasing inside it.  The run stops at the first step
-    across which event(t, y) goes from >= 0 to <= 0, or when a step would
-    fall below ten spacings of the floating-point numbers at t.
+    t_span must be finite with t0 < tf (a NaN bound never ends the run),
+    y0 finite and t_eval increasing inside t_span.  The run stops at the
+    first step across which event(t, y) goes from >= 0 to <= 0, or when a
+    step would fall below ten spacings of the floating-point numbers at t.
     """
     t0, tf = map(float, t_span)
     rtol, atol = tol, np.asarray(tol)
     t = t0
     y = np.asarray(y0).astype(float, copy=False)
-    if not np.isfinite(y).all():
-        raise ValueError("the initial state must be finite")
     # a steep start or a trial step may overflow; the step control then
     # rejects the step (the error norm is not below 1) or the run stalls,
     # so these floating-point warnings carry nothing the caller needs

@@ -3,22 +3,22 @@
 The interaction between components is encoded by the tridiagonal matrix
 with 2 on the diagonal and -1 off it (rank N version).  Its inverse has
 the closed form inv[i, j] = min(i, j) * (N + 1 - max(i, j)) / (N + 1)
-with 1-based indices, which the constructor uses directly.
+with 1-based indices, which cartan_su_inverse evaluates directly.  Both
+are plain arrays, built once per rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "CartanMatrix",
     "NumericalError",
     "cartan_su",
-    "resolve_cartan",
+    "cartan_su_inverse",
     "subset_margin",
     "lower_bound_condition",
     "margin_condition",
@@ -40,45 +40,30 @@ class NumericalError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """Coupling matrix with its exact inverse, both dense float arrays."""
-
-    rank: int
-    entries: np.ndarray = field(repr=False)
-    inverse_entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("entries", "inverse_entries"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            if arr.shape != (self.rank, self.rank):
-                raise ValueError("matrix shape does not match rank")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-def cartan_su(rank: int) -> CartanMatrix:
-    """Tridiagonal coupling matrix of rank N >= 1 and its closed-form inverse."""
+def _check_rank(rank: int) -> None:
     if rank < 1:
         raise ValueError("rank must be a positive integer")
-    a = 2.0 * np.eye(rank)
-    for i in range(rank - 1):
-        a[i, i + 1] = -1.0
-        a[i + 1, i] = -1.0
+
+
+@lru_cache(maxsize=None)
+def cartan_su(rank: int) -> np.ndarray:
+    """Tridiagonal coupling matrix of rank N >= 1; cached and read-only."""
+    _check_rank(rank)
+    a = 2.0 * np.eye(rank) - np.eye(rank, k=1) - np.eye(rank, k=-1)
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def cartan_su_inverse(rank: int) -> np.ndarray:
+    """Closed-form inverse of cartan_su(rank); cached and read-only."""
+    _check_rank(rank)
     idx = np.arange(1, rank + 1, dtype=np.float64)
     lo = np.minimum.outer(idx, idx)
     hi = np.maximum.outer(idx, idx)
     inv = lo * (rank + 1 - hi) / (rank + 1)
-    return CartanMatrix(rank, a, inv)
-
-
-def resolve_cartan(rank: int, cartan: CartanMatrix | None) -> CartanMatrix:
-    """The given coupling matrix, checked against rank, or cartan_su(rank)."""
-    if cartan is None:
-        return cartan_su(rank)
-    if cartan.rank != rank:
-        raise ValueError("coupling matrix rank does not match component count")
-    return cartan
+    inv.flags.writeable = False
+    return inv
 
 
 def _check_couplings(m: Sequence[float], rank: int) -> np.ndarray:
@@ -90,23 +75,25 @@ def _check_couplings(m: Sequence[float], rank: int) -> np.ndarray:
     return arr
 
 
-def subset_margin(m: Sequence[float], cartan: CartanMatrix, subset: Iterable[int]) -> float:
+def subset_margin(m: Sequence[float], cartan: np.ndarray, subset: Iterable[int]) -> float:
     """Boundedness margin of a component subset.
 
     For a nonempty set J of component indices (0-based) this is
     8 pi * sum_{j in J} m_j - sum_{i, j in J} a_ij m_i m_j; a singleton
     {j} reduces to 2 m_j (4 pi - m_j), so the margin is nonnegative for
-    every subset exactly when every coupling is at most 4 pi.
+    every subset exactly when every coupling is at most 4 pi.  The rank
+    is the length of the (N, N) coupling matrix cartan.
     """
-    mv = _check_couplings(m, cartan.rank)
+    rank = len(cartan)
+    mv = _check_couplings(m, rank)
     idx = sorted(set(int(j) for j in subset))
     if not idx:
         raise ValueError("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= cartan.rank:
+    if idx[0] < 0 or idx[-1] >= rank:
         raise ValueError("subset index out of range")
     sel = np.array(idx, dtype=np.intp)
     ms = mv[sel]
-    quad = float(ms @ cartan.entries[np.ix_(sel, sel)] @ ms)
+    quad = float(ms @ cartan[np.ix_(sel, sel)] @ ms)
     return EIGHT_PI * float(np.sum(ms)) - quad
 
 
@@ -118,15 +105,16 @@ def lower_bound_condition(m: Sequence[float]) -> bool:
     return bool(np.all(_check_couplings(m, rank) <= FOUR_PI))
 
 
-def margin_condition(m: Sequence[float], cartan: CartanMatrix) -> bool:
+def margin_condition(m: Sequence[float], cartan: np.ndarray) -> bool:
     """True when subset_margin >= 0 for every nonempty subset.
 
     Walks all 2^N - 1 subsets, so rank is capped at MAX_SUBSET_RANK.
     """
-    if cartan.rank > MAX_SUBSET_RANK:
+    rank = len(cartan)
+    if rank > MAX_SUBSET_RANK:
         raise ValueError(f"subset enumeration limited to rank <= {MAX_SUBSET_RANK}")
-    indices = range(cartan.rank)
-    for size in range(1, cartan.rank + 1):
+    indices = range(rank)
+    for size in range(1, rank + 1):
         for subset in combinations(indices, size):
             if subset_margin(m, cartan, subset) < 0:
                 return False

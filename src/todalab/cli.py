@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _EXPORTS, __version__, _lazy_getattr
 from ._csv import write_csv
-from .cartan import EIGHT_PI, FOUR_PI, CartanMatrix, NumericalError, _check_couplings
+from .cartan import EIGHT_PI, FOUR_PI, NumericalError, _check_couplings
 
 # the numerical modules' public names, through the package's own table: a
 # name is imported on first access (see __getattr__) and then kept as an
@@ -131,11 +131,8 @@ def parse_range(text: str) -> tuple[float, float]:
 
 
 def parse_grid_shape(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise CliError("grid shape must look like '9x9'")
     try:
-        k1, k2 = int(parts[0]), int(parts[1])
+        k1, k2 = (int(part) for part in text.lower().split("x"))
     except ValueError:
         raise CliError("grid shape must look like '9x9'") from None
     if k1 < 1 or k2 < 1:
@@ -238,8 +235,7 @@ class RunConfig:
 
     @property
     def n(self) -> Optional[int]:
-        v = self.values.get("n")
-        return None if v is None else int(v)
+        return self.values.get("n")
 
     @property
     def couplings(self) -> Optional[tuple[float, ...]]:
@@ -517,7 +513,7 @@ def _fail_row(identity: str, message: str) -> IdentityRow:
                        math.nan, 0.0, "FAIL")
 
 
-def _radial_identity_rows(cartan: Optional[CartanMatrix]) -> list[IdentityRow]:
+def _radial_identity_rows(cartan: Optional[np.ndarray]) -> list[IdentityRow]:
     (ball_pohozaev, check_mass_relation, flux_residuals, masses_and_exponents,
      sweep_shooting) = _callees(
         "ball_pohozaev", "check_mass_relation", "flux_residuals",
@@ -596,10 +592,7 @@ def emit_identity_suite(
     radial runs so the mass-relation rows must fail; it exists to prove
     the suite cannot pass vacuously.
     """
-    cartan = None
-    if corrupt_cartan:
-        entries = np.array([[2.0, -0.9], [-0.9, 2.0]])
-        cartan = CartanMatrix(2, entries, np.linalg.inv(entries))
+    cartan = np.array([[2.0, -0.9], [-0.9, 2.0]]) if corrupt_cartan else None
     rows: list[IdentityRow] = []
     if only in ("all", "radial"):
         rows.extend(_radial_identity_rows(cartan))
@@ -641,21 +634,44 @@ RUNNERS = {
 }
 
 
+def _join_dash_values(argv: Sequence[str]) -> list[str]:
+    """argv with each value that starts with '-' joined to its flag by '='.
+
+    argparse reads '--a0 -1,0' as two flags; '--a0=-1,0' is one.  A
+    token that is itself one of the command's option strings stays a flag.
+    """
+    args = list(argv)
+    if not args or args[0] not in OPTIONS:
+        return args
+    # every option but -h/--help takes one value
+    flags = {"--config"} | {f"--{opt.name}" for opt in OPTIONS[args[0]] + COMMON_OPTIONS}
+    joined = args[:1]
+    for token in args[1:]:
+        if joined[-1] in flags and token.startswith("-") and token not in flags | {"-h", "--help"}:
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def parse_and_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        namespace = parser.parse_args(
+            _join_dash_values(sys.argv[1:] if argv is None else argv)
+        )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = resolve_config(
-            namespace.command, vars(namespace), namespace.config
-        )
+        config = resolve_config(namespace.command, vars(namespace), namespace.config)
         _precheck(config)
+        os.makedirs(config.out, exist_ok=True)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:  # resolve_config turns an unreadable config into CliError
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         code = RUNNERS[config.command](config)

@@ -6,11 +6,11 @@ The energy of a tuple v of potentials with coupling vector m is
          + sum_ij a_ij m_i int(v_j)
          - sum_i m_i log int(exp(u_i)),        u = A v,
 
-where A = cartan_su(N) is the coupling matrix of the N components; the
-functions here build it from N, except the kernels `evaluate` and
-`raw_gradient`, which take it from their caller.  Substituting u = A v
-gives the equivalent u-form whose quadratic part uses the inverse
-matrix.  Both forms are invariant under adding a constant to any
+where A = cartan_su(N) is the coupling matrix of the N components; every
+function here, the kernels `evaluate` and `raw_gradient` included, reads
+it (and its inverse, cartan_su_inverse(N)) from the rank.  Substituting
+u = A v gives the equivalent u-form whose quadratic part uses the
+inverse matrix.  Both forms are invariant under adding a constant to any
 component, and the L2 gradient of E in v has components
 
     g_k = sum_j a_kj ( -lap v_j + m_j (1 - rho_j) ),
@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cartan import _check_couplings, cartan_su
+from .cartan import _check_couplings, cartan_su, cartan_su_inverse
 from .grid import (
     GridSpec,
     ScalarField,
@@ -108,18 +108,14 @@ def _mix(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (matrix @ stack.reshape(len(stack), -1)).reshape(stack.shape)
 
 
-def _linear_combination(f: MultiField, matrix: np.ndarray) -> MultiField:
-    return MultiField.from_array(f.spec, _mix(matrix, f.stack()))
-
-
 def u_from_v(v: MultiField) -> MultiField:
     """Apply the coupling matrix componentwise: u_i = sum_j a_ij v_j."""
-    return _linear_combination(v, cartan_su(v.n_components).entries)
+    return MultiField.from_array(v.spec, _mix(cartan_su(v.n_components), v.stack()))
 
 
 def v_from_u(u: MultiField) -> MultiField:
     """Invert u_from_v using the exact closed-form inverse."""
-    return _linear_combination(u, cartan_su(u.n_components).inverse_entries)
+    return MultiField.from_array(u.spec, _mix(cartan_su_inverse(u.n_components), u.stack()))
 
 
 @dataclass(frozen=True)
@@ -149,8 +145,9 @@ class Evaluation(NamedTuple):
     neglap: np.ndarray  # -lap v0
 
 
-def evaluate(v_stack: np.ndarray, amat: np.ndarray, mv: np.ndarray) -> Evaluation:
+def evaluate(v_stack: np.ndarray, mv: np.ndarray) -> Evaluation:
     """The energy of a (N, n, n) stack of potentials, at its zero-mean representative."""
+    amat = cartan_su(len(mv))
     n = v_stack.shape[-1]
     cell_area = (1.0 / n) ** 2
     v0 = _centered(v_stack)
@@ -167,11 +164,11 @@ def evaluate(v_stack: np.ndarray, amat: np.ndarray, mv: np.ndarray) -> Evaluatio
 
 
 def raw_gradient(
-    rho: np.ndarray, neglap: np.ndarray, amat: np.ndarray, mv: np.ndarray
+    rho: np.ndarray, neglap: np.ndarray, mv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """L2 gradient stack A (-lap v0 + s) and the source s = m (1 - rho) it uses."""
     source = mv[:, None, None] * (1.0 - rho)
-    return _mix(amat, neglap + source), source
+    return _mix(cartan_su(len(mv)), neglap + source), source
 
 
 def energy(v: MultiField, m: Sequence[float]) -> EnergyBreakdown:
@@ -181,14 +178,14 @@ def energy(v: MultiField, m: Sequence[float]) -> EnergyBreakdown:
     part is zero up to roundoff whatever the means of v.
     """
     mv = _check_couplings(m, v.n_components)
-    return evaluate(v.stack(), cartan_su(v.n_components).entries, mv).parts
+    return evaluate(v.stack(), mv).parts
 
 
 def energy_u(u: MultiField, m: Sequence[float]) -> EnergyBreakdown:
     """Energy in the u-parametrization (quadratic part via the inverse matrix)."""
     n = u.n_components
     mv = _check_couplings(m, n)
-    inv = cartan_su(n).inverse_entries
+    inv = cartan_su_inverse(n)
     pair = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
@@ -202,9 +199,8 @@ def energy_u(u: MultiField, m: Sequence[float]) -> EnergyBreakdown:
 def energy_gradient(v: MultiField, m: Sequence[float]) -> MultiField:
     """L2 gradient of the energy in v; each component has zero mean."""
     mv = _check_couplings(m, v.n_components)
-    amat = cartan_su(v.n_components).entries
-    ev = evaluate(v.stack(), amat, mv)
-    grads, _ = raw_gradient(ev.rho, ev.neglap, amat, mv)
+    ev = evaluate(v.stack(), mv)
+    grads, _ = raw_gradient(ev.rho, ev.neglap, mv)
     return MultiField.from_array(v.spec, grads)
 
 
@@ -215,7 +211,7 @@ def precondition_gradient(g: MultiField) -> MultiField:
     Laplacian; the mean passes through unchanged so the operator stays
     invertible on constants.
     """
-    mixed = _mix(cartan_su(g.n_components).inverse_entries, g.stack())
+    mixed = _mix(cartan_su_inverse(g.n_components), g.stack())
     means = mixed.mean(axis=(1, 2), keepdims=True)
     return MultiField.from_array(g.spec, _inverse_neg_laplacian(mixed) + means)
 
@@ -243,5 +239,5 @@ def euler_lagrange_residuals(u: MultiField, m: Sequence[float]) -> np.ndarray:
     stacked = u.stack()
     _require_normalized(stacked)
     sources = mv[:, None, None] * (np.exp(stacked) - 1.0)
-    res = _neg_laplacian(stacked) - _mix(cartan_su(u.n_components).entries, sources)
+    res = _neg_laplacian(stacked) - _mix(cartan_su(u.n_components), sources)
     return np.sqrt(np.sum(res**2, axis=(1, 2)) * u.spec.h**2)

@@ -2,7 +2,7 @@
 
 The descent runs in the abstract parametrization with two layers of
 preconditioning: the inverse of the coupling matrix A = cartan_su(N),
-built once per descent from the N couplings, undoes the cross-component
+N the number of couplings, undoes the cross-component
 mixing and the zero-mean inverse Laplacian flattens the spectrum of the
 quadratic term.  Their product P = (-lap)^-1 A^-1 is linear, symmetric
 and the exact inverse of the quadratic term, so it serves as the initial
@@ -282,7 +282,7 @@ def minimize(
     """
     config = config or MinimizeConfig()
     rank = len(m)
-    amat = cartan_su(rank).entries
+    amat = cartan_su(rank)
     mv = _check_couplings(m, rank)
     cell_area = spec.h * spec.h
 
@@ -298,7 +298,7 @@ def minimize(
             raise ValueError("component count does not match coupling rank")
         v_stack = init.stack()
 
-    start = evaluate(v_stack, amat, mv)
+    start = evaluate(v_stack, mv)
     energy = start.parts.total
     trace = [energy]
     # the line search accepts only finite energies, so the start is the
@@ -323,7 +323,7 @@ def minimize(
     previous = None  # the last accepted step and the gradient it started from
 
     for _ in range(config.max_iters):
-        raw, source = raw_gradient(rho, neglap, amat, mv)
+        raw, source = raw_gradient(rho, neglap, mv)
         precond = v0 + _inverse_neg_laplacian(source)
         precond_norm = float(np.sqrt(cell_area * np.sum(precond**2)))
         raw_norms = np.sqrt(cell_area * np.sum(raw**2, axis=(1, 2)))

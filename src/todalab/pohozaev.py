@@ -2,9 +2,9 @@
 
 For a normalized critical point the components satisfy
 -Delta u_i = sum_j a_ij m_j (e^{u_j} - 1).  Multiplying by the dilation
-field X = x - x0, pairing through the inverse coupling matrix Kinv
-(of cartan_su(N), for the N components of the state), and integrating
-over a disk B of radius r yields the exact balance
+field X = x - x0, pairing through the inverse coupling matrix
+Kinv = cartan_su_inverse(N) of the N components of the state, and
+integrating over a disk B of radius r yields the exact balance
 
     2 sum_i m_i int_B e^{u_i}
       = sum_ij (Kinv)_ij oint r [dn u_i dn u_j - (1/2) grad u_i . grad u_j]
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cartan import _check_couplings, cartan_su
+from .cartan import _check_couplings, cartan_su_inverse
 from ._csv import write_csv
 from .functional import MultiField, _require_normalized
 from .grid import _disk_mask, _spatial_gradient
@@ -139,7 +139,7 @@ def radius_scan(
 
     cx, cy = center
     cell = h * h
-    kinv = cartan_su(rank).inverse_entries
+    kinv = cartan_su_inverse(rank)
     balances = []
     for r in radii:
         # boundary sampling: dense enough that the trapezoid rule resolves

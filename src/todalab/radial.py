@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .cartan import FOUR_PI, CartanMatrix, NumericalError, resolve_cartan
+from .cartan import FOUR_PI, NumericalError, cartan_su
 from ._csv import write_csv
 
 if TYPE_CHECKING:
@@ -63,7 +63,7 @@ class RadialSolution:
     """Profiles, derivatives, and running masses on increasing radii.
 
     r_nodes starts at 0 (series values) and ends at r_max; u, du, and
-    alpha hold one row per component.
+    alpha hold one row per component; cartan is the (N, N) coupling matrix.
     """
 
     r_nodes: np.ndarray
@@ -71,7 +71,7 @@ class RadialSolution:
     du: np.ndarray
     alpha: np.ndarray
     a0: tuple[float, ...]
-    cartan: CartanMatrix
+    cartan: np.ndarray
     r_max: float
     _dense: DenseSolution = field(repr=False)
 
@@ -139,7 +139,7 @@ def integrate_radial(
     a0: Sequence[float],
     r_max: float = 1000.0,
     tol: float = 1e-10,
-    cartan: Optional[CartanMatrix] = None,
+    cartan: Optional[np.ndarray] = None,
     nodes: int = 600,
 ) -> RadialSolution:
     """Integrate from the origin out to r_max with running masses.
@@ -148,21 +148,28 @@ def integrate_radial(
     and the series u_j ~ a_j - (sum_k a_jk e^{a_k}) r^2 / 4 hands off to
     the log-radius integrator at _series_radius(a0): the in-repo DOP853 with
     rtol = atol = tol, whose results equal SciPy's solve_ivp bit for bit.
-    Raises BlowUpError when a profile climbs past the blow-up guard
-    before reaching r_max or the step size stalls, and aborts if the
-    flux identity degrades beyond FLUX_ABORT.
+    cartan is an (N, N) coupling matrix, cartan_su(N) when omitted.
+    Raises NumericalError when e^{max a0} overflows the series, BlowUpError
+    when a profile climbs past the blow-up guard before reaching r_max or
+    the step size stalls, and aborts if the flux identity degrades beyond
+    FLUX_ABORT.
     """
     start = _check_settings(a0, r_max, tol, nodes)
     # imported here so that processes that never integrate skip compiling
     # the tableau when no bytecode is cached (about 6 ms and 0.4 MB)
     from . import _dop853
 
-    cartan = resolve_cartan(start.size, cartan)
-    amat = cartan.entries
-    rank = cartan.rank
+    rank = start.size
+    amat = cartan_su(rank) if cartan is None else np.array(cartan, dtype=np.float64)
+    if amat.shape != (rank, rank):
+        raise ValueError("coupling matrix rank does not match component count")
 
     r0 = _series_radius(start)
-    y0 = np.concatenate(_series_state(start, amat, r0))
+    # pi e^{a0} overflows before the r0^2 factor brings the product back
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0 = np.concatenate(_series_state(start, amat, r0))
+    if not np.all(np.isfinite(y0)):
+        raise NumericalError(f"the origin series overflows at central value {start.max():g}")
 
     def rhs(t, y):
         weights = np.exp(y[:rank] + 2.0 * t)
@@ -206,7 +213,7 @@ def integrate_radial(
         du=du_full,
         alpha=alpha_full,
         a0=tuple(float(v) for v in start),
-        cartan=cartan,
+        cartan=amat,
         r_max=float(r_max),
         _dense=sol.dense,
     )
@@ -227,7 +234,7 @@ def flux_residuals(sol: RadialSolution) -> np.ndarray:
     """
     r = sol.r_nodes[1:]
     w = sol.du[:, 1:] * r[None, :]
-    kalpha = sol.cartan.entries @ sol.alpha[:, 1:]
+    kalpha = sol.cartan @ sol.alpha[:, 1:]
     defect = np.abs(-2.0 * np.pi * w - kalpha)
     scale = 1.0 + sol.alpha[:, 1:].sum(axis=0)
     return (defect / scale[None, :]).max(axis=0)
@@ -244,7 +251,7 @@ def masses_and_exponents(sol: RadialSolution) -> MassReport:
     tails = np.exp(sol.u[:, -1]) * 2.0 * np.pi * sol.r_max**2
     if np.any(tails >= TAIL_FRACTION * alpha):
         raise ValueError("mass tail too large at r_max; integrate to a larger r_max")
-    beta = sol.cartan.entries @ alpha
+    beta = sol.cartan @ alpha
     return MassReport(
         alpha=tuple(float(a) for a in alpha),
         beta=tuple(float(b) for b in beta),
@@ -284,28 +291,22 @@ def _series_state(start: np.ndarray, amat: np.ndarray, r: float):
     )
 
 
-def _state_at(sol: RadialSolution, r: float):
-    """(u, r u', alpha) at radius r from the dense solution or the series."""
-    rank = sol.n_components
-    if r < _series_radius(np.asarray(sol.a0)):
-        return _series_state(np.asarray(sol.a0), sol.cartan.entries, r)
-    y = sol._dense(np.log(r))
-    return y[:rank], y[rank : 2 * rank], y[2 * rank :]
-
-
 def ball_pohozaev(sol: RadialSolution, r: float) -> PohozaevBalance:
     """Both sides of the ball identity at radius r.
 
     lhs = 6 pi r^2 (e^{u1}+e^{u2}) - 6 (alpha1+alpha2) and
     rhs = -2 pi ((r u1')^2 + (r u2')^2 + (r u1')(r u2')); the identity
     follows from the system by parts, so the residual measures pure
-    integration error.
+    integration error.  r must lie in [r_nodes[1], r_max], the integrated
+    range; both sides start at O(r^4), the order the origin series drops,
+    so the residual means something only well past the hand-over radius.
     """
     if sol.n_components != 2:
         raise ValueError("ball identity is defined for two components")
-    if not 0.0 < r <= sol.r_max:
+    if not sol.r_nodes[1] <= r <= sol.r_max:
         raise ValueError("R out of range")
-    u, w, alpha = _state_at(sol, r)
+    # the dense state (u, r u', alpha) at r
+    u, w, alpha = np.split(sol._dense(np.log(r)), 3)
     lhs = 6.0 * np.pi * r * r * float(np.exp(u).sum()) - 6.0 * float(alpha.sum())
     rhs = -2.0 * np.pi * float(w[0] ** 2 + w[1] ** 2 + w[0] * w[1])
     return PohozaevBalance(r=float(r), lhs=lhs, rhs=rhs, residual=lhs - rhs)
@@ -326,7 +327,7 @@ def check_mass_relation(alpha1: float, alpha2: float) -> MassRelation:
 
 
 def sweep_shooting(
-    a2_values: Sequence[float], cartan: Optional[CartanMatrix] = None
+    a2_values: Sequence[float], cartan: Optional[np.ndarray] = None
 ) -> tuple[ShootingRow, ...]:
     """Integrate the one-parameter family a0 = (0, a2) to r = 1000 and summarize.
 
@@ -350,7 +351,7 @@ def sweep_shooting(
             report = masses_and_exponents(sol)
         except ValueError:
             alpha = tuple(float(a) for a in sol.alpha[:, -1])
-            beta = tuple(float(b) for b in sol.cartan.entries @ sol.alpha[:, -1])
+            beta = tuple(float(b) for b in sol.cartan @ sol.alpha[:, -1])
             rows.append(ShootingRow(float(a2), "tail", alpha, beta, np.nan, sol))
             continue
         relation = check_mass_relation(*report.alpha)

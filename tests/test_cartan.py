@@ -5,6 +5,7 @@ import pytest
 
 from todalab.cartan import (
     cartan_su,
+    cartan_su_inverse,
     lower_bound_condition,
     margin_condition,
     subset_margin,
@@ -14,29 +15,36 @@ PI = np.pi
 
 
 def test_entries_rank_two():
-    k = cartan_su(2)
-    assert np.array_equal(k.entries, [[2.0, -1.0], [-1.0, 2.0]])
-    assert np.allclose(k.inverse_entries, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0)
+    assert np.array_equal(cartan_su(2), [[2.0, -1.0], [-1.0, 2.0]])
+    assert np.allclose(cartan_su_inverse(2), np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0)
 
 
 def test_entries_rank_one():
-    k = cartan_su(1)
-    assert k.entries[0, 0] == 2.0
-    assert k.inverse_entries[0, 0] == 0.5
+    assert cartan_su(1)[0, 0] == 2.0
+    assert cartan_su_inverse(1)[0, 0] == 0.5
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 7])
 def test_inverse_matches_linear_solve_oracle(rank):
-    k = cartan_su(rank)
-    oracle = np.linalg.inv(k.entries)
-    assert np.max(np.abs(k.inverse_entries - oracle)) < 1e-12
-    assert np.max(np.abs(k.entries @ k.inverse_entries - np.eye(rank))) < 1e-12
+    k, inverse = cartan_su(rank), cartan_su_inverse(rank)
+    assert np.max(np.abs(inverse - np.linalg.inv(k))) < 1e-12
+    assert np.max(np.abs(k @ inverse - np.eye(rank))) < 1e-12
+
+
+@pytest.mark.parametrize("build", [cartan_su, cartan_su_inverse])
+def test_matrices_are_cached_and_read_only(build):
+    assert build(3) is build(3)
+    with pytest.raises(ValueError, match="read-only"):
+        build(3)[0, 0] = 0.0
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="positive integer"):
+            build(rank)
 
 
 def test_leading_minors_are_positive():
     k = cartan_su(6)
     for size in range(1, 7):
-        det = np.linalg.det(k.entries[:size, :size])
+        det = np.linalg.det(k[:size, :size])
         assert det == pytest.approx(size + 1, rel=1e-12)
 
 

@@ -199,11 +199,9 @@ def test_radial_stall_is_a_one_line_numerical_failure(tmp_path, capfd, monkeypat
     # floats before any output node is reached; the overflowing trial
     # steps must not warn (a warning raises here), so stderr holds one line
     import todalab.cli as cli
-    from todalab.cartan import CartanMatrix
     from todalab.radial import integrate_radial
 
-    entries = np.array([[2.0, -1.0], [-1e35, 2.0]])
-    stiff = CartanMatrix(2, entries, np.linalg.inv(entries))
+    stiff = np.array([[2.0, -1.0], [-1e35, 2.0]])
     monkeypatch.setattr(cli, "integrate_radial",
                         partial(integrate_radial, cartan=stiff), raising=False)
     code, _ = run(tmp_path, "radial", "--a0", "0,0")
@@ -216,6 +214,49 @@ def test_tall_radial_start_converges(tmp_path):
     code, out = run(tmp_path, "radial", "--a0", "80,0")
     assert code == 0
     assert json.loads((out / "report.json").read_text())["outcome"] == "converged"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a0, top", [("709,0", "709"), ("1500,1500", "1500")])
+def test_overflowing_radial_start_is_a_one_line_numerical_failure(tmp_path, capfd, a0, top):
+    code, _ = run(tmp_path, "radial", f"--a0={a0}")
+    assert code == 1
+    err = capfd.readouterr().err
+    assert err == f"numerical failure: the origin series overflows at central value {top}\n"
+
+
+def test_negative_value_may_follow_its_flag(tmp_path, capsys):
+    code, spaced = run(tmp_path / "spaced", "radial", "--a0", "-1,0", "--nodes", "32")
+    assert code == 0
+    code, joined = run(tmp_path / "joined", "radial", "--a0=-1,0", "--nodes", "32")
+    assert code == 0
+    for name in ("radial.csv", "report.json"):
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+    for args, message in [
+        (("sweep", "--range", "-1pi:1pi"), "couplings must be positive and finite"),
+        (("pohozaev", "--center", "-0.1,0.5"), "center must lie in the unit torus"),
+    ]:
+        code, out = run(tmp_path, *args)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    # an option string after a flag is the next flag, not its value
+    code, _ = run(tmp_path, "radial", "--a0", "--r-max", "10")
+    assert code == 2
+    assert "--a0: expected one argument" in capsys.readouterr().err
+
+
+def test_uncreatable_output_directory_exits_2(tmp_path, capsys, monkeypatch):
+    import todalab.cli as cli
+
+    monkeypatch.setattr(cli, "integrate_radial", None, raising=False)  # never called
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = parse_and_dispatch(["radial", "--out", str(taken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory: ") and err.count("\n") == 1
+    assert taken.read_text() == ""
 
 
 @pytest.mark.parametrize(
@@ -403,6 +444,13 @@ def test_emit_identity_suite_rows_have_measured_residuals():
     for row in rows:
         assert np.isfinite(row.measured)
         assert row.status in ("PASS", "FAIL")
+
+
+def test_bad_bubble_couplings_are_one_failed_row():
+    (row,) = emit_identity_suite(only="bubble", m=(0.0, 1.0))
+    assert row.identity == "bubble_slope"
+    assert row.parameter == "error: couplings must be positive and finite"
+    assert row.status == "FAIL"
 
 
 def test_resolve_config_rejects_bad_values():

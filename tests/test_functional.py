@@ -66,6 +66,14 @@ def test_multifield_requires_shared_grid():
         MultiField((f, g))
 
 
+def test_multifield_rejects_empty_and_misshapen_input():
+    with pytest.raises(ValueError, match="at least one component"):
+        MultiField(())
+    for shape in ((8, 8), (2, 8, 16), (2, 16, 16)):
+        with pytest.raises(ValueError, match="matching the grid"):
+            MultiField.from_array(GridSpec(8), np.zeros(shape))
+
+
 # ----------------------------------------------------------------- energy
 
 
@@ -237,7 +245,7 @@ def test_preconditioner_inverts_smoothing_direction():
 
     stacked = v.stack()
     terms = np.stack([-laplacian(c).values for c in v.components])
-    coupled = np.tensordot(k.entries, terms, axes=(1, 0))
+    coupled = np.tensordot(k, terms, axes=(1, 0))
     quad_grad = MultiField.from_array(spec, coupled)
     back = precondition_gradient(quad_grad)
     for a, b in zip(back.components, v.components):

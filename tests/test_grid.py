@@ -70,6 +70,11 @@ def test_grid_spec_validation():
             GridSpec(bad)
 
 
+def test_field_shape_must_match_grid():
+    with pytest.raises(ValueError, match=r"field shape \(8, 16\) does not match grid"):
+        ScalarField(GridSpec(8), np.zeros((8, 16)))
+
+
 def test_non_finite_field_rejected():
     spec = GridSpec(8)
     bad = np.zeros(spec.shape)

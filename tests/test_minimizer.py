@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from todalab.bubbles import BubbleParams, standard_bubble
-from todalab.cartan import cartan_su
+from todalab.cartan import cartan_su_inverse
 from todalab.functional import (
     MultiField,
     _mix,
@@ -313,13 +313,10 @@ def test_accumulated_energy_matches_fresh_evaluation(monkeypatch, m):
                         lambda *args, **kwargs: reports.append(descend(*args, **kwargs))
                         or reports[-1])
     spec = GridSpec(64)
-    cartan = cartan_su(2)
     _classify(m, spec)
     assert any(r.iterations > 0 for r in reports)
     for r in reports:
-        fresh = evaluate(
-            v_from_u(r.final_u).stack(), cartan.entries, np.asarray(m)
-        ).parts.total
+        fresh = evaluate(v_from_u(r.final_u).stack(), np.asarray(m)).parts.total
         scale = max(1.0, abs(r.energy_trace[0]))
         assert abs(fresh - r.energy_trace[-1]) <= 1e-12 * scale
 
@@ -384,7 +381,7 @@ def textbook_two_loop(pairs, g, apply_p):
 
 def test_gram_recursion_matches_textbook_two_loop():
     shape = (2, 16, 16)
-    inverse = cartan_su(2).inverse_entries
+    inverse = cartan_su_inverse(2)
     rng = np.random.default_rng(7)
 
     def field():

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import solve_ivp
 
-from todalab.cartan import CartanMatrix, cartan_su, resolve_cartan
+from todalab.cartan import NumericalError, cartan_su
 from todalab.radial import (
     BlowUpError,
     _series_radius,
     _series_state,
-    _state_at,
     asymptotic_slopes,
     ball_pohozaev,
     check_mass_relation,
@@ -29,15 +28,11 @@ EIGHT_PI = 8.0 * np.pi
 
 # the --corrupt-cartan matrix of the identity suite, and an anti-damped
 # single component u'' + u'/r = +2 e^u with no global solution
-CORRUPT = CartanMatrix(
-    2, np.array([[2.0, -0.9], [-0.9, 2.0]]), np.linalg.inv([[2.0, -0.9], [-0.9, 2.0]])
-)
-ANTI_DAMPED = CartanMatrix(1, np.array([[-2.0]]), np.array([[-0.5]]))
+CORRUPT = np.array([[2.0, -0.9], [-0.9, 2.0]])
+ANTI_DAMPED = np.array([[-2.0]])
 # a huge cross coupling: the series hands u2 a value whose exponential
 # overflows, so the first step shrinks below the spacing of floats
-STIFF = CartanMatrix(
-    2, np.array([[2.0, -1.0], [-1e35, 2.0]]), np.linalg.inv([[2.0, -1.0], [-1e35, 2.0]])
-)
+STIFF = np.array([[2.0, -1.0], [-1e35, 2.0]])
 
 
 # Symmetric ansatz: with u1 = u2 = w the coupled system collapses to
@@ -144,6 +139,15 @@ def test_ball_identity_input_validation():
         ball_pohozaev(single, 1.0)
 
 
+def test_ball_identity_starts_at_the_first_integrator_node():
+    # below r_nodes[1] only the origin series could answer, and it drops
+    # the r^4 terms both sides are made of: lhs came out twice its value
+    sol = integrate_radial((0.0, 0.0))
+    with pytest.raises(ValueError, match="out of range"):
+        ball_pohozaev(sol, 5e-5)
+    assert ball_pohozaev(sol, sol.r_nodes[1]).r == sol.r_nodes[1]
+
+
 def test_mass_relation_closed_cases():
     zero = check_mass_relation(EIGHT_PI, EIGHT_PI)
     assert zero.residual == 0.0
@@ -184,9 +188,8 @@ def test_blow_up_guard_reports_radius():
 def reference_solve_ivp(a0, r_max=1000.0, tol=1e-10, cartan=None, nodes=600):
     """integrate_radial's former integrator call: scipy's DOP853."""
     start = np.asarray(a0, dtype=float)
-    cartan = resolve_cartan(start.size, cartan)
-    amat = cartan.entries
-    rank = cartan.rank
+    rank = start.size
+    amat = cartan_su(rank) if cartan is None else cartan
     r0 = _series_radius(start)
     y0 = np.concatenate(_series_state(start, amat, r0))
 
@@ -251,8 +254,7 @@ def test_integrator_matches_solve_ivp_bit_for_bit(run):
     assert np.array_equal(sol.alpha[:, 1:], ref.y[2 * rank :])
     for r in (1.0, np.sqrt(run["r_max"]), run["r_max"]):
         want = ref.sol(np.log(r))
-        got = np.concatenate(_state_at(sol, r))
-        assert np.array_equal(got, want)
+        assert np.array_equal(sol._dense(np.log(r)), want)
 
 
 @pytest.mark.parametrize("s", [16.0, 20.0, 22.0])
@@ -282,14 +284,21 @@ def test_nan_derivative_at_the_hand_over_stalls_at_once():
     # cross couplings so large that the series hands u = 2500 (past the
     # blow-up guard) to the integrator, where A e^u is inf - inf = NaN;
     # the NaN first step used to be rejected forever
-    entries = np.array([[2.0, -1e12], [-1e12, 2.0]])
-    huge = CartanMatrix(2, entries, np.linalg.inv(entries))
+    huge = np.array([[2.0, -1e12], [-1e12, 2.0]])
     started = time.perf_counter()
     with pytest.raises(BlowUpError, match="integration stalled near radius 0.0001"):
         integrate_radial((0.0, 0.0), cartan=huge)
     assert time.perf_counter() - started < 1.0
     rows = sweep_shooting((-1.0, 0.0, 0.5), cartan=huge)
     assert [row.outcome for row in rows] == ["blow-up"] * 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a0", [(709.0, 0.0), (1500.0, 1500.0)])
+def test_overflowing_series_is_a_numerical_error(a0):
+    # pi e^{a0} overflows before the r^2 factor brings the series back
+    with pytest.raises(NumericalError, match="origin series overflows at central value"):
+        integrate_radial(a0)
 
 
 def test_blow_up_radius_matches_solve_ivp():
