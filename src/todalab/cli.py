@@ -249,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for command in OPTIONS:
-        sub = subs.add_parser(command)
+        # flags must be spelled out: a prefix would also slip past _join_dash_values
+        sub = subs.add_parser(command, allow_abbrev=False)
         sub.add_argument("--config", default=None, help="flat key=value config file")
         for opt in OPTIONS[command] + COMMON_OPTIONS:
             sub.add_argument(f"--{opt.name}", dest=_dest(opt.name), default=None,

@@ -36,8 +36,16 @@ disk-mask spectrum; ties go to the lexicographically smallest center.
 Inside the descent the detector runs only when the peak density times
 the disk area could reach the concentration threshold.
 
-A sweep classifies its cells on a fork pool with one worker per CPU in
-the affinity mask; each cell runs the same per-cell code as in-process.
+The Cartan matrix is unchanged when the component order is reversed, so
+the cells (m1, m2) and (m2, m1) of a sweep are mirror images, and so are
+the two bubble-seed directions of a diagonal cell.  A sweep classifies
+each mirror orbit in one task and skips a seeded descent whose mirror
+already ended Converged; only that status is shared, never numbers, since
+a Converged bubble run never decides a cell.  The deciding run is always
+computed in the cell's own orientation, so the rows keep their bytes
+(mirrored runs agree in status and iteration count but not in the last
+bits).  The orbits run on a fork pool with one worker per CPU in the
+affinity mask; each orbit runs the same code as in-process.
 """
 
 from __future__ import annotations
@@ -472,13 +480,35 @@ def _bubble_seed(spec: GridSpec, scale: float, component: int) -> MultiField:
     return MultiField(fields)
 
 
+def _mirror_key(m: Sequence[float], scale: float, component: int) -> tuple:
+    """One name for a bubble-seeded descent and its mirror image.
+
+    cartan_su(N) is unchanged when the component order is reversed, so the
+    descent at couplings m from the seed in `component` is the mirror of the
+    descent at reversed m from the seed in N - 1 - component (the seed in
+    component 1 is the component-0 seed reversed); the key is the smaller
+    of the two triples.
+    """
+    m = tuple(m)
+    return min((m, scale, component), (m[::-1], scale, len(m) - 1 - component))
+
+
 def _classify(
     m: Sequence[float],
     spec: GridSpec,
     config: Optional[MinimizeConfig] = None,
+    relaxed: Optional[set] = None,
 ) -> tuple[str, MinimizeReport]:
-    """Classification plus the run that decided it (for sweep rows)."""
+    """Classification plus the run that decided it (for sweep rows).
+
+    relaxed holds the mirror keys of bubble-seeded descents known to end
+    Converged (a fresh set when omitted): a seed whose key is in it is
+    skipped, and each seeded descent run here that ends Converged adds its
+    key.  A Converged bubble run never decides a cell, so the deciding run
+    is always computed here, in this cell's own orientation.
+    """
     config = config or MinimizeConfig()
+    relaxed = set() if relaxed is None else relaxed
     if len(m) != 2:
         raise ValueError("classification seeds are defined for two components")
     # the flat field is an exact critical point, so its descent ends Converged
@@ -486,10 +516,15 @@ def _classify(
     # large scales sit closest to a blow-up and short-circuit soonest
     for scale in (64.0, 16.0, 4.0):
         for component in (0, 1):
+            key = _mirror_key(m, scale, component)
+            if key in relaxed:
+                continue
             init = v_from_u(_bubble_seed(spec, scale, component))
             report = minimize(m, spec, init=init, config=config)
             if report.status == STATUS_UNBOUNDED:
                 return STATUS_UNBOUNDED, report
+            if report.status == STATUS_CONVERGED:
+                relaxed.add(key)
             reports.append(report)
     if all(r.status == STATUS_CONVERGED for r in reports):
         return "Bounded", reports[0]
@@ -508,7 +543,8 @@ def classify_boundedness(
     scales 4, 16, 64 in each component direction.  Any Unbounded run
     decides immediately; all-Converged means Bounded; anything else
     (typically budget-limited relaxation near the threshold) is
-    Inconclusive.
+    Inconclusive.  On the diagonal m1 = m2 the two directions mirror each
+    other, so a seed that relaxed in one is not run in the other.
     """
     status, _ = _classify(m, spec, config)
     return status
@@ -525,23 +561,33 @@ class SweepRow:
     conc2: float
 
 
-def _sweep_row(
-    m: tuple[float, float],
+def _sweep_orbit(
+    cells: Sequence[tuple[float, float]],
     spec: GridSpec,
     config: Optional[MinimizeConfig],
-) -> SweepRow:
-    """One sweep cell: its classification and the deciding run's numbers."""
-    m1, m2 = m
-    status, report = _classify((m1, m2), spec, config)
-    return SweepRow(
-        m1=float(m1),
-        m2=float(m2),
-        status=status,
-        energy=report.energy_trace[-1],
-        max_field=report.max_field,
-        conc1=report.concentration[0].mass,
-        conc2=report.concentration[1].mass,
-    )
+) -> list[SweepRow]:
+    """Rows of one mirror orbit: its classifications and the deciding runs' numbers.
+
+    The cells, in the given order, share one set of relaxed seeds (see
+    _classify), so a seeded descent whose mirror already ended Converged
+    is not run again.
+    """
+    relaxed: set = set()
+    rows = []
+    for m1, m2 in cells:
+        status, report = _classify((m1, m2), spec, config, relaxed)
+        rows.append(
+            SweepRow(
+                m1=float(m1),
+                m2=float(m2),
+                status=status,
+                energy=report.energy_trace[-1],
+                max_field=report.max_field,
+                conc1=report.concentration[0].mass,
+                conc2=report.concentration[1].mass,
+            )
+        )
+    return rows
 
 
 def sweep(
@@ -551,28 +597,41 @@ def sweep(
 ) -> tuple[SweepRow, ...]:
     """Classify each coupling pair; rows keep the input order.
 
-    Each point is classified independently (pure per-point work), so
-    the map cannot depend on evaluation order.  The cells run on a fork
-    pool with one worker per CPU in the affinity mask (in-process when
-    that is one CPU or there is one cell); every row is computed by the
-    same code either way, so the rows and region.csv keep the same
-    bytes.  The reported energy, max field, and concentrations come from
-    the deciding run: the blow-up run for Unbounded points, the
-    flat-start minimizer for Bounded ones, and the first unfinished run
-    for Inconclusive ones.
+    The cells fall into mirror orbits {(m1, m2), (m2, m1)} by exact float
+    equality; a diagonal, unpaired or repeated cell joins the orbit of its
+    smaller ordering.  Within an orbit a bubble-seeded descent whose mirror
+    already ended Converged is skipped (see _classify).  The reported
+    energy, max field, and concentrations come from the deciding run, which
+    is always computed in the cell's own orientation: the blow-up run for
+    Unbounded points, the flat-start minimizer for Bounded ones, and the
+    first unfinished run for Inconclusive ones.  So the rows do not depend
+    on how the cells are grouped.  The orbits run on a fork pool with one
+    worker per CPU in the affinity mask, one orbit per task (in-process
+    when that is one CPU or there is one orbit); the same per-orbit code
+    runs either way, so the rows and region.csv keep the same bytes.
     """
     if len(couplings) == 0:
         raise ValueError("empty coupling list")
-    row = partial(_sweep_row, spec=spec, config=config)
-    workers = min(len(os.sched_getaffinity(0)), len(couplings))
+    orbits: dict[tuple, list[int]] = {}
+    for index, (m1, m2) in enumerate(couplings):
+        orbits.setdefault(min((m1, m2), (m2, m1)), []).append(index)
+    tasks = [[couplings[i] for i in members] for members in orbits.values()]
+    run = partial(_sweep_orbit, spec=spec, config=config)
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers == 1:
-        return tuple(map(row, couplings))
-    # imported here, so processes that never start a pool skip its import
-    import multiprocessing
+        results = map(run, tasks)
+    else:
+        # imported here, so processes that never start a pool skip its import
+        import multiprocessing
 
-    # chunks of one cell balance cells of unequal cost; imap keeps the order
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return tuple(pool.imap(row, couplings, chunksize=1))
+        # chunks of one orbit balance orbits of unequal cost; imap keeps the order
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = list(pool.imap(run, tasks, chunksize=1))
+    rows: list = [None] * len(couplings)
+    for members, orbit_rows in zip(orbits.values(), results):
+        for index, row in zip(members, orbit_rows):
+            rows[index] = row
+    return tuple(rows)
 
 
 def write_region_csv(rows: Sequence[SweepRow], destination) -> None:

@@ -163,6 +163,8 @@ def integrate_radial(
     amat = cartan_su(rank) if cartan is None else np.array(cartan, dtype=np.float64)
     if amat.shape != (rank, rank):
         raise ValueError("coupling matrix rank does not match component count")
+    if not np.all(np.isfinite(amat)):
+        raise ValueError("coupling matrix must be finite")
 
     r0 = _series_radius(start)
     # pi e^{a0} overflows before the r0^2 factor brings the product back

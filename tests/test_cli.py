@@ -246,6 +246,24 @@ def test_negative_value_may_follow_its_flag(tmp_path, capsys):
     assert "--a0: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args", [("radial", "--a", "1,0"), ("radial", "--a", "-1,0"), ("sweep", "--m", "3x3")]
+)
+def test_flags_must_be_spelled_out(tmp_path, capsys, monkeypatch, args):
+    import todalab.cli as cli
+
+    for name in ("integrate_radial", "sweep"):
+        monkeypatch.setattr(cli, name, None, raising=False)  # never called
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.undo()
+    code, out = run(tmp_path, "radial", "--a0", "-1,0", "--nodes", "32")
+    assert code == 0
+    assert (out / "radial.csv").exists()
+
+
 def test_uncreatable_output_directory_exits_2(tmp_path, capsys, monkeypatch):
     import todalab.cli as cli
 

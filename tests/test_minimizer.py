@@ -44,6 +44,7 @@ from todalab.minimizer import (
     _classify,
     _concentration_from_density,
     _disk_masses,
+    _mirror_key,
     classify_boundedness,
     detect_concentration,
     minimize,
@@ -787,7 +788,7 @@ def test_pool_sweep_matches_in_process_classification(monkeypatch):
     assert list(sweep(POOL_CELLS[::-1], spec)) == expected[::-1]
 
 
-def pid_classify(m, spec, config=None):
+def pid_classify(m, spec, config=None, relaxed=None):
     """Stand-in for _classify whose status names the process that ran it."""
     spot = ConcentrationSpot(mass=0.0, center=(0.0, 0.0))
     report = SimpleNamespace(energy_trace=(0.0,), max_field=0.0, concentration=(spot, spot))
@@ -810,10 +811,10 @@ def test_worker_error_reaches_the_caller_with_its_trace(monkeypatch):
     use_cpus(monkeypatch, 2)
     classify = minimizer._classify
 
-    def failing_classify(m, spec, config=None):
+    def failing_classify(m, spec, config=None, relaxed=None):
         if m == POOL_CELLS[1]:
             raise NonFiniteEnergyError("non-finite energy at iteration 2", [3.0, 1.0, np.nan])
-        return classify(m, spec, config)
+        return classify(m, spec, config, relaxed)
 
     monkeypatch.setattr(minimizer, "_classify", failing_classify)
     with pytest.raises(NonFiniteEnergyError) as excinfo:
@@ -822,6 +823,111 @@ def test_worker_error_reaches_the_caller_with_its_trace(monkeypatch):
     assert str(err) == "non-finite energy at iteration 2"
     assert err.energy_trace[:2] == (3.0, 1.0)
     assert len(err.energy_trace) == 3 and np.isnan(err.energy_trace[2])
+
+
+SEEDS = [(scale, component) for scale in (64.0, 16.0, 4.0) for component in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "m, max_iters, statuses",
+    [
+        ((3.5 * PI, 2 * PI), 2000, {"Converged"}),  # Bounded, below the diagonal
+        ((PI, 3 * PI), 2000, {"Converged"}),  # Bounded, above it
+        ((2 * PI, 4.5 * PI), 2000, {"Converged", "Unbounded"}),  # Unbounded
+        ((4 * PI, 4 * PI), 2000, {"Converged"}),  # the threshold corner
+        ((3 * PI, 2 * PI), 1, {"Budget"}),
+    ],
+)
+def test_mirrored_seeded_descents_agree(m, max_iters, statuses):
+    # reversing the components leaves cartan_su(2) unchanged, so the seeded
+    # descent and its mirror image end alike; sweep reuses this for Converged
+    spec, config = GridSpec(32), MinimizeConfig(max_iters=max_iters)
+    mirror = m[::-1]
+    seen = set()
+    for scale, component in SEEDS:
+        assert _mirror_key(m, scale, component) == _mirror_key(mirror, scale, 1 - component)
+        report = minimize(m, spec, init=v_from_u(_bubble_seed(spec, scale, component)),
+                          config=config)
+        image = minimize(mirror, spec, init=v_from_u(_bubble_seed(spec, scale, 1 - component)),
+                         config=config)
+        assert (report.status, report.iterations) == (image.status, image.iterations)
+        seen.add(report.status)
+    assert seen == statuses
+
+
+def oracle_rows(cells, spec, config=None):
+    """Sweep rows from all seven descents of each cell, none shared or skipped.
+
+    The first Unbounded seed decides; otherwise all Converged is Bounded with
+    the flat start's numbers, and anything else is Inconclusive with the
+    first unfinished run's.
+    """
+    config = config or MinimizeConfig()
+    rows = []
+    for m in cells:
+        flat = minimize(m, spec, init=MultiField.zeros(spec, 2), config=config)
+        seeded = [
+            minimize(m, spec, init=v_from_u(_bubble_seed(spec, scale, component)), config=config)
+            for scale, component in SEEDS
+        ]
+        unbounded = [r for r in seeded if r.status == "Unbounded"]
+        pending = [r for r in [flat] + seeded if r.status != "Converged"]
+        if unbounded:
+            status, report = "Unbounded", unbounded[0]
+        elif pending:
+            status, report = "Inconclusive", pending[0]
+        else:
+            status, report = "Bounded", flat
+        rows.append(
+            SweepRow(m1=m[0], m2=m[1], status=status, energy=report.energy_trace[-1],
+                     max_field=report.max_field, conc1=report.concentration[0].mass,
+                     conc2=report.concentration[1].mass)
+        )
+    return rows
+
+
+def grid_cells(k1, k2, lo=PI, hi=5 * PI):
+    """The cells of `sweep --m-grid {k1}x{k2} --range {lo}:{hi}`, in its order."""
+    return [(float(a), float(b)) for a in np.linspace(lo, hi, k1) for b in np.linspace(lo, hi, k2)]
+
+
+SWEEP_CASES = {
+    "square": (grid_cells(5, 5), None),
+    "non-square": (grid_cells(3, 2), None),
+    "repeated cell": ([(3 * PI, 2 * PI), (2 * PI, 3 * PI), (3 * PI, 2 * PI), (4.5 * PI, 2 * PI)],
+                      None),
+    "inconclusive": ([(2 * PI, 3 * PI), (3 * PI, 2 * PI), (2 * PI, 2 * PI)],
+                     MinimizeConfig(max_iters=1)),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_rows_equal_the_unshared_oracle(monkeypatch, case, cpus):
+    cells, config = SWEEP_CASES[case]
+    spec = GridSpec(32)
+    expected = oracle_rows(cells, spec, config)
+    if case == "inconclusive":
+        assert {row.status for row in expected} == {"Inconclusive"}
+    use_cpus(monkeypatch, cpus)
+    assert list(sweep(cells, spec, config)) == expected
+
+
+def test_mirror_orbits_share_relaxed_descents(monkeypatch):
+    use_cpus(monkeypatch, 1)
+    descend = minimizer.minimize
+    reports = []
+    monkeypatch.setattr(minimizer, "minimize",
+                        lambda *args, **kwargs: reports.append(descend(*args, **kwargs))
+                        or reports[-1])
+    spec = GridSpec(32)
+    sweep(grid_cells(5, 5), spec)
+    # without sharing, the same cells take 132 descents for 1,238 iterations
+    assert (len(reports), sum(r.iterations for r in reports)) == (84, 641)
+    # a diagonal cell is its own mirror: one flat start and three seeds
+    reports.clear()
+    assert classify_boundedness((3 * PI, 3 * PI), spec) == "Bounded"
+    assert len(reports) == 4
 
 
 def test_region_csv_roundtrip(tmp_path):

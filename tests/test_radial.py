@@ -335,6 +335,9 @@ def test_integrate_validations():
         integrate_radial((np.nan, 0.0))
     with pytest.raises(ValueError, match="rank"):
         integrate_radial((0.0, 0.0), cartan=cartan_su(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="coupling matrix must be finite"):
+            integrate_radial((0.0, 0.0), cartan=[[bad, 0.0], [0.0, 2.0]])
     with pytest.raises(ValueError, match="nodes"):
         integrate_radial((0.0, 0.0), nodes=8)
 
