@@ -30,6 +30,14 @@ _EXPORTS = {
             "subset_margin",
         ),
         "cli": ("emit_identity_suite", "main", "parse_and_dispatch"),
+        "closed_form": (
+            "MassReport",
+            "RadialProfile",
+            "check_mass_relation",
+            "masses_and_exponents",
+            "radial_profile",
+            "write_solution_csv",
+        ),
         "functional": (
             "EnergyBreakdown",
             "MultiField",
@@ -68,15 +76,11 @@ _EXPORTS = {
         "pohozaev": ("DiskBalance", "disk_balance", "radius_scan", "write_balance_csv"),
         "radial": (
             "BlowUpError",
-            "MassReport",
             "RadialSolution",
             "ball_pohozaev",
-            "check_mass_relation",
             "flux_residuals",
             "integrate_radial",
-            "masses_and_exponents",
             "sweep_shooting",
-            "write_solution_csv",
         ),
     }.items()
     for name in names

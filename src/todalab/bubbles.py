@@ -9,17 +9,19 @@ two exponential masses, and the energy) grow linearly in log(scale),
 and the energy slope changes sign exactly at coupling 4 pi, which makes
 the family a certified descent direction above the threshold.  Every
 radial integrand has an elementary antiderivative, so the quantities
-and the Liouville mass are closed forms; no quadrature runs here.
+and the Liouville mass are closed forms; no quadrature runs here.  The
+quantities and the slope fits need only the standard library, so a
+`bubble` process never loads numpy; sampling on a grid and the Liouville
+array helpers import it when called.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
-import numpy as np
-
-from .cartan import FOUR_PI, _check_couplings
+from .cartan import FOUR_PI, _coupling_values
 
 if TYPE_CHECKING:
     from .functional import MultiField
@@ -63,7 +65,7 @@ class BubbleParams:
     center: ClassVar[tuple[float, float]] = (0.5, 0.5)
 
     def __post_init__(self):
-        if not np.isfinite(self.scale) or self.scale <= 1.0:
+        if not math.isfinite(self.scale) or self.scale <= 1.0:
             raise ValueError("scale must exceed 1")
         _check_flat_radius(self.flat_radius)
 
@@ -76,7 +78,7 @@ def _check_flat_radius(flat_radius: float) -> None:
 
 def _check_scale(scale: float) -> None:
     """The profile scale rule of bubble_quantities, NaN and inf included."""
-    if not 2.0 <= scale < np.inf:
+    if not 2.0 <= scale < math.inf:
         raise ValueError("scale must be finite and at least 2")
 
 
@@ -90,6 +92,8 @@ def standard_bubble(
     """
     # imported here: the slope fits and the identity suite never sample
     # on a grid, so their processes skip loading these modules
+    import numpy as np
+
     from .functional import MultiField
     from .grid import ScalarField, _periodic_dist_sq
 
@@ -122,28 +126,28 @@ def bubble_quantities(
     leftover area 1 - pi d^2.  The second component is -u1/2, so its
     pairings are fixed multiples of the first.
     """
-    mv = _check_couplings(m, 2)
+    mv = _coupling_values(m, 2)
     _check_scale(scale)
     _check_flat_radius(flat_radius)
     d = flat_radius
-    a = scale**2 * np.pi
+    a = scale**2 * math.pi
     s = a * d**2
-    log_scale = float(np.log(scale))
-    log1p_s = float(np.log1p(s))
-    outer_area = 1.0 - np.pi * d**2
+    log_scale = math.log(scale)
+    log1p_s = math.log1p(s)
+    outer_area = 1.0 - math.pi * d**2
     u1_edge = 2.0 * log_scale - 2.0 * log1p_s
 
     # written without 1/(1+s) - 1, which cancels as s -> 0
-    grad1_sq = 16.0 * np.pi * (log1p_s - s / (1.0 + s))
+    grad1_sq = 16.0 * math.pi * (log1p_s - s / (1.0 + s))
     int_u1 = (
-        2.0 * log_scale * np.pi * d**2
-        - (2.0 * np.pi / a) * ((1.0 + s) * log1p_s - s)
+        2.0 * log_scale * math.pi * d**2
+        - (2.0 * math.pi / a) * ((1.0 + s) * log1p_s - s)
         + u1_edge * outer_area
     )
     int_u2 = -0.5 * int_u1
-    log_mass_u1 = float(np.log(s / (1.0 + s) + np.exp(u1_edge) * outer_area))
-    log_mass_u2 = float(
-        np.log((np.pi / scale) * (d**2 + a * d**4 / 2.0) + np.exp(-0.5 * u1_edge) * outer_area)
+    log_mass_u1 = math.log(s / (1.0 + s) + math.exp(u1_edge) * outer_area)
+    log_mass_u2 = math.log(
+        (math.pi / scale) * (d**2 + a * d**4 / 2.0) + math.exp(-0.5 * u1_edge) * outer_area
     )
     # the u-form quadratic part (1/2) sum_ij Kinv_ij <grad u_i, grad u_j>
     # collapses to grad1_sq / 4 for the pair (u1, -u1/2)
@@ -162,17 +166,17 @@ def bubble_quantities(
         "int_u2": int_u2,
         "log_mass_u1": log_mass_u1,
         "log_mass_u2": log_mass_u2,
-        "energy": float(energy),
+        "energy": energy,
     }
 
 
 def asymptotic_slope_table(m: Sequence[float]) -> dict[str, float]:
     """Expected growth rates of each quantity per unit of log(scale)."""
-    mv = _check_couplings(m, 2)
+    mv = _coupling_values(m, 2)
     return {
-        "grad1_sq": 32.0 * np.pi,
-        "grad2_sq": 8.0 * np.pi,
-        "grad_cross": -16.0 * np.pi,
+        "grad1_sq": 32.0 * math.pi,
+        "grad2_sq": 8.0 * math.pi,
+        "grad_cross": -16.0 * math.pi,
         "int_u1": -2.0,
         "int_u2": 1.0,
         "log_mass_u1": 0.0,
@@ -197,13 +201,44 @@ class SlopeFitReport:
     couplings: tuple[float, float]
 
 
-def _fit_line(logs: np.ndarray, vals: np.ndarray) -> SlopeFit:
-    slope, intercept = np.polyfit(logs, vals, 1)
-    resid = float(np.max(np.abs(vals - (slope * logs + intercept))))
-    return SlopeFit(float(slope), float(intercept), resid)
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    return sum(a * b for a, b in zip(x, y))
 
 
-def _fit_line_with_transient(logs: np.ndarray, vals: np.ndarray) -> SlopeFit:
+def _least_squares(columns: list[list[float]], vals: list[float]) -> SlopeFit:
+    """Least-squares fit of vals on the columns, the first two being log(scale) and 1.
+
+    A thin QR factorization by modified Gram-Schmidt, then back
+    substitution; returns the first two coefficients and the largest
+    absolute residual.
+    """
+    q = [list(c) for c in columns]
+    rhs = list(vals)
+    n = len(q)
+    r = [[0.0] * n for _ in range(n)]
+    proj = [0.0] * n
+    for j in range(n):
+        for i in range(j):
+            r[i][j] = _dot(q[i], q[j])
+            q[j] = [x - r[i][j] * y for x, y in zip(q[j], q[i])]
+        r[j][j] = math.sqrt(_dot(q[j], q[j]))
+        q[j] = [x / r[j][j] for x in q[j]]
+        proj[j] = _dot(q[j], rhs)
+        rhs = [x - proj[j] * y for x, y in zip(rhs, q[j])]
+    coef = [0.0] * n
+    for j in reversed(range(n)):
+        coef[j] = (proj[j] - sum(r[j][k] * coef[k] for k in range(j + 1, n))) / r[j][j]
+    resid = max(
+        abs(v - sum(c * col[i] for c, col in zip(coef, columns))) for i, v in enumerate(vals)
+    )
+    return SlopeFit(coef[0], coef[1], resid)
+
+
+def _fit_line(logs: list[float], vals: list[float]) -> SlopeFit:
+    return _least_squares([logs, [1.0] * len(logs)], vals)
+
+
+def _fit_line_with_transient(logs: list[float], vals: list[float]) -> SlopeFit:
     """Linear fit with an extra exp(-2 log scale) = 1/scale^2 column.
 
     Every tracked quantity approaches its linear asymptote with a
@@ -211,10 +246,7 @@ def _fit_line_with_transient(logs: np.ndarray, vals: np.ndarray) -> SlopeFit:
     varying prefactor), so absorbing that mode removes most of the
     slope bias the plain fit picks up from moderate scales.
     """
-    basis = np.column_stack([logs, np.ones_like(logs), np.exp(-2.0 * logs)])
-    coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
-    resid = float(np.max(np.abs(vals - basis @ coef)))
-    return SlopeFit(float(coef[0]), float(coef[1]), resid)
+    return _least_squares([logs, [1.0] * len(logs), [math.exp(-2.0 * x) for x in logs]], vals)
 
 
 def _sorted_scales(scales: Sequence[float]) -> list[float]:
@@ -224,7 +256,7 @@ def _sorted_scales(scales: Sequence[float]) -> list[float]:
         raise ValueError("need at least four scales")
     for s in sc:
         _check_scale(s)
-    if sc[-1] / sc[0] < np.e**2:
+    if sc[-1] / sc[0] < math.e**2:
         raise ValueError("scales must span at least a factor of e^2")
     return sc
 
@@ -242,20 +274,19 @@ def fit_slopes(
     dropped as pre-asymptotic and the rest are refit with a 1/scale^2
     transient column.  The report records which scales were used.
     """
-    mv = _check_couplings(m, 2)
+    mv = _coupling_values(m, 2)
     sc = _sorted_scales(scales)
 
     table = [bubble_quantities(s, mv, flat_radius) for s in sc]
-    data = {k: np.array([q[k] for q in table]) for k in QUANTITY_KEYS}
+    data = {k: [q[k] for q in table] for k in QUANTITY_KEYS}
+    logs = [math.log(s) for s in sc]
     used = sc
-    fits = {k: _fit_line(np.log(used), v) for k, v in data.items()}
+    fits = {k: _fit_line(logs, v) for k, v in data.items()}
     worst = max(f.max_residual / max(1.0, abs(f.slope)) for f in fits.values())
     if worst > DISCARD_TOL:
         used = sc[1:]
-        fits = {
-            k: _fit_line_with_transient(np.log(used), v[1:]) for k, v in data.items()
-        }
-    return SlopeFitReport(fits, tuple(used), (float(mv[0]), float(mv[1])))
+        fits = {k: _fit_line_with_transient(logs[1:], v[1:]) for k, v in data.items()}
+    return SlopeFitReport(fits, tuple(used), mv)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +295,21 @@ def fit_slopes(
 
 def liouville_value(r):
     """Profile -2 log(1 + pi r^2); peak value 0 at the origin."""
+    import numpy as np
+
     return -2.0 * np.log1p(np.pi * np.asarray(r, dtype=float) ** 2)
 
 
 def liouville_derivative(r):
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     return -4.0 * np.pi * r / (1.0 + np.pi * r**2)
 
 
 def _liouville_second_derivative(r):
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     return -4.0 * np.pi * (1.0 - np.pi * r**2) / (1.0 + np.pi * r**2) ** 2
 
@@ -283,6 +320,8 @@ def liouville_pde_residual(r):
     The radial Laplacian is phi'' + phi'/r, extended by continuity with
     2 phi''(0) at the origin.
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     second = _liouville_second_derivative(r)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -293,4 +332,4 @@ def liouville_pde_residual(r):
 
 def liouville_mass(r_max: float = 1e4) -> float:
     """Total mass of exp(phi) out to r_max, 1 - 1/(1 + pi r_max^2)."""
-    return float(1.0 - 1.0 / (1.0 + np.pi * r_max**2))
+    return 1.0 - 1.0 / (1.0 + math.pi * r_max**2)

@@ -4,16 +4,22 @@ The interaction between components is encoded by the tridiagonal matrix
 with 2 on the diagonal and -1 off it (rank N version).  Its inverse has
 the closed form inv[i, j] = min(i, j) * (N + 1 - max(i, j)) / (N + 1)
 with 1-based indices, which cartan_su_inverse evaluates directly.  Both
-are plain arrays, built once per rank.
+are plain arrays, built once per rank from the nested tuples of
+_cartan_rows and _inverse_rows.  The tuples and the coupling check need
+only the standard library, so a process that never touches an array
+(`radial`, `bubble`) does not load numpy through this module.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from numbers import Real
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NumericalError",
@@ -24,8 +30,8 @@ __all__ = [
     "margin_condition",
 ]
 
-FOUR_PI = 4.0 * np.pi
-EIGHT_PI = 8.0 * np.pi
+FOUR_PI = 4.0 * math.pi
+EIGHT_PI = 8.0 * math.pi
 
 # Enumerating all 2^N - 1 nonempty subsets is only sane for small rank.
 MAX_SUBSET_RANK = 12
@@ -46,33 +52,64 @@ def _check_rank(rank: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def cartan_su(rank: int) -> np.ndarray:
-    """Tridiagonal coupling matrix of rank N >= 1; cached and read-only."""
+def _cartan_rows(rank: int) -> tuple[tuple[float, ...], ...]:
+    """The rows of the tridiagonal coupling matrix of rank N >= 1."""
     _check_rank(rank)
-    a = 2.0 * np.eye(rank) - np.eye(rank, k=1) - np.eye(rank, k=-1)
+    return tuple(
+        tuple(2.0 if i == j else -1.0 if abs(i - j) == 1 else 0.0 for j in range(rank))
+        for i in range(rank)
+    )
+
+
+@lru_cache(maxsize=None)
+def _inverse_rows(rank: int) -> tuple[tuple[float, ...], ...]:
+    """The rows of its inverse, min(i, j) (N + 1 - max(i, j)) / (N + 1)."""
+    _check_rank(rank)
+    return tuple(
+        tuple(min(i, j) * (rank + 1 - max(i, j)) / (rank + 1) for j in range(1, rank + 1))
+        for i in range(1, rank + 1)
+    )
+
+
+def _read_only(rows: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    import numpy as np
+
+    a = np.array(rows, dtype=np.float64)
     a.flags.writeable = False
     return a
 
 
 @lru_cache(maxsize=None)
+def cartan_su(rank: int) -> np.ndarray:
+    """Tridiagonal coupling matrix of rank N >= 1; cached and read-only."""
+    return _read_only(_cartan_rows(rank))
+
+
+@lru_cache(maxsize=None)
 def cartan_su_inverse(rank: int) -> np.ndarray:
     """Closed-form inverse of cartan_su(rank); cached and read-only."""
-    _check_rank(rank)
-    idx = np.arange(1, rank + 1, dtype=np.float64)
-    lo = np.minimum.outer(idx, idx)
-    hi = np.maximum.outer(idx, idx)
-    inv = lo * (rank + 1 - hi) / (rank + 1)
-    inv.flags.writeable = False
-    return inv
+    return _read_only(_inverse_rows(rank))
+
+
+def _coupling_values(m: Sequence[float], rank: int) -> tuple[float, ...]:
+    """The couplings as floats: rank of them, each positive and finite."""
+    try:
+        values = list(m)
+    except TypeError:
+        values = []
+    if len(values) != rank or not all(isinstance(v, Real) for v in values):
+        raise ValueError("coupling vector length does not match rank")
+    out = tuple(float(v) for v in values)
+    if not all(v > 0 and math.isfinite(v) for v in out):
+        raise ValueError("couplings must be positive and finite")
+    return out
 
 
 def _check_couplings(m: Sequence[float], rank: int) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.shape != (rank,):
-        raise ValueError("coupling vector length does not match rank")
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("couplings must be positive and finite")
-    return arr
+    """_coupling_values(m, rank) as a float64 array."""
+    import numpy as np
+
+    return np.array(_coupling_values(m, rank), dtype=np.float64)
 
 
 def subset_margin(m: Sequence[float], cartan: np.ndarray, subset: Iterable[int]) -> float:
@@ -84,6 +121,8 @@ def subset_margin(m: Sequence[float], cartan: np.ndarray, subset: Iterable[int])
     every subset exactly when every coupling is at most 4 pi.  The rank
     is the length of the (N, N) coupling matrix cartan.
     """
+    import numpy as np
+
     rank = len(cartan)
     mv = _check_couplings(m, rank)
     idx = sorted(set(int(j) for j in subset))
@@ -99,10 +138,13 @@ def subset_margin(m: Sequence[float], cartan: np.ndarray, subset: Iterable[int])
 
 def lower_bound_condition(m: Sequence[float]) -> bool:
     """True when every coupling is at most 4 pi (exact comparison)."""
-    rank = np.size(m)
+    try:
+        rank = len(m)
+    except TypeError:  # a bare number, which _coupling_values rejects
+        rank = 1
     if rank == 0:
         raise ValueError("coupling vector must be nonempty")
-    return bool(np.all(_check_couplings(m, rank) <= FOUR_PI))
+    return all(v <= FOUR_PI for v in _coupling_values(m, rank))
 
 
 def margin_condition(m: Sequence[float], cartan: np.ndarray) -> bool:

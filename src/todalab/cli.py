@@ -21,11 +21,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from . import _EXPORTS, __version__, _lazy_getattr
 from ._csv import write_csv
-from .cartan import EIGHT_PI, FOUR_PI, NumericalError, _check_couplings
+from .cartan import EIGHT_PI, FOUR_PI, NumericalError, _coupling_values
 
 # the numerical modules' public names, through the package's own table: a
 # name is imported on first access (see __getattr__) and then kept as an
@@ -190,8 +188,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
     ),
     "radial": (
         Option("a0", parse_floats, "0,0", "center values of the profile components"),
-        Option("r-max", parse_float, "1000", "outer integration radius"),
-        Option("tol", parse_float, "1e-10", "integrator error control"),
+        Option("r-max", parse_float, "1000", "outer radius of the profile"),
         Option("nodes", parse_int, "600", "radial output nodes"),
     ),
     "pohozaev": (
@@ -312,25 +309,22 @@ def _precheck(config: RunConfig) -> None:
         GridSpec(config.n)
         _minimize_config(config)
     if config.command in ("minimize", "pohozaev"):
-        _check_couplings(config.couplings, len(config.couplings))
+        _coupling_values(config.couplings, len(config.couplings))
     if config.command == "sweep":
         # the range ends are the sweep's extreme couplings
-        _check_couplings(config.values["range"], 2)
+        _coupling_values(config.values["range"], 2)
     if config.command in ("bubble", "identities"):
         # the bubble family and its slope table are rank 2
-        _check_couplings(config.couplings, 2)
+        _coupling_values(config.couplings, 2)
     if config.command == "pohozaev":
         from .pohozaev import _check_disks
 
         _check_disks(config.values["radii"], config.values["center"], 1.0 / config.n)
     if config.command == "radial":
-        from .radial import _check_settings
+        from .closed_form import _check_profile_settings
 
-        _check_settings(
-            config.values["a0"],
-            config.values["r_max"],
-            config.values["tol"],
-            config.values["nodes"],
+        _check_profile_settings(
+            config.values["a0"], config.values["r_max"], config.values["nodes"]
         )
     if config.command == "bubble":
         from .bubbles import _check_flat_radius, _sorted_scales
@@ -397,6 +391,8 @@ def _run_minimize(config: RunConfig) -> int:
 
 
 def _run_sweep(config: RunConfig) -> int:
+    import numpy as np
+
     GridSpec, sweep, write_region_csv = _callees("GridSpec", "sweep", "write_region_csv")
     spec = GridSpec(config.n)
     k1, k2 = config.values["m_grid"]
@@ -433,25 +429,21 @@ def _run_bubble(config: RunConfig) -> int:
 
 
 def _run_radial(config: RunConfig) -> int:
-    (check_mass_relation, flux_residuals, integrate_radial, masses_and_exponents,
-     write_solution_csv) = _callees(
-        "check_mass_relation", "flux_residuals", "integrate_radial",
-        "masses_and_exponents", "write_solution_csv",
+    """The exact profile of the closed form on the integrator's nodes."""
+    check_mass_relation, masses_and_exponents, radial_profile, write_solution_csv = _callees(
+        "check_mass_relation", "masses_and_exponents", "radial_profile", "write_solution_csv",
     )
-    sol = integrate_radial(
-        config.values["a0"],
-        r_max=config.values["r_max"],
-        tol=config.values["tol"],
-        nodes=config.values["nodes"],
+    profile = radial_profile(
+        config.values["a0"], r_max=config.values["r_max"], nodes=config.values["nodes"]
     )
-    write_solution_csv(sol, os.path.join(config.out, "radial.csv"))
+    write_solution_csv(profile, os.path.join(config.out, "radial.csv"))
     payload: dict = {
         "a0": list(config.values["a0"]),
         "r_max": config.values["r_max"],
-        "flux_max": float(flux_residuals(sol).max()),
+        "flux_max": profile.flux_max(),
     }
     try:
-        report = masses_and_exponents(sol)
+        report = masses_and_exponents(profile)
     except ValueError as exc:
         payload["outcome"] = "tail"
         payload["note"] = str(exc)
@@ -514,7 +506,7 @@ def _fail_row(identity: str, message: str) -> IdentityRow:
                        math.nan, 0.0, "FAIL")
 
 
-def _radial_identity_rows(cartan: Optional[np.ndarray]) -> list[IdentityRow]:
+def _radial_identity_rows(cartan: Optional[Sequence[Sequence[float]]]) -> list[IdentityRow]:
     (ball_pohozaev, check_mass_relation, flux_residuals, masses_and_exponents,
      sweep_shooting) = _callees(
         "ball_pohozaev", "check_mass_relation", "flux_residuals",
@@ -593,7 +585,7 @@ def emit_identity_suite(
     radial runs so the mass-relation rows must fail; it exists to prove
     the suite cannot pass vacuously.
     """
-    cartan = np.array([[2.0, -0.9], [-0.9, 2.0]]) if corrupt_cartan else None
+    cartan = ((2.0, -0.9), (-0.9, 2.0)) if corrupt_cartan else None
     rows: list[IdentityRow] = []
     if only in ("all", "radial"):
         rows.extend(_radial_identity_rows(cartan))

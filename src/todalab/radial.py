@@ -5,10 +5,13 @@ t = log r, where it reads d2u_j/dt2 = -sum_k a_jk e^{u_k + 2t} and the
 1/r stiffness disappears; a quadratic series in r covers the origin up
 to a hand-over radius where e^{max a0} r^2 is still small.  The
 integrator is the package's own DOP853 (private module _dop853), so the
-radial commands need numpy alone.  Running
+identity suite needs numpy alone.  Running
 masses ride along as companion unknowns, so the divergence-theorem flux
 identity -2 pi r u_i'(r) = sum_j a_ij alpha_j(r) is available at every
-node as an integrator self-test.
+node as an integrator self-test.  For the coupling matrix cartan_su(N)
+the module closed_form has the exact profile, which the `radial` command
+prints and the tests hold the integrator to; the integrator stays for
+the identity suite and for any other matrix.
 """
 
 from __future__ import annotations
@@ -18,8 +21,16 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .cartan import FOUR_PI, NumericalError, cartan_su
-from ._csv import write_csv
+from .cartan import NumericalError, cartan_su
+from .closed_form import (
+    MassRelation,
+    MassReport,
+    _check_settings,
+    _series_radius,
+    check_mass_relation,
+    masses_and_exponents,
+    write_solution_csv,
+)
 
 if TYPE_CHECKING:
     from ._dop853 import DenseSolution
@@ -42,12 +53,7 @@ __all__ = [
     "write_solution_csv",
 ]
 
-# the series hands over at this radius, or closer in for tall starts
-SERIES_RADIUS = 1e-4
-# e^{max a0} r^2 at the hand-over of a tall start: its r^4 term is small
-SERIES_GROWTH = 1e-3
 FLUX_ABORT = 1e-5
-TAIL_FRACTION = 1e-4
 
 
 class BlowUpError(NumericalError):
@@ -81,14 +87,6 @@ class RadialSolution:
 
 
 @dataclass(frozen=True)
-class MassReport:
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
-    alpha_above_4pi: tuple[bool, ...]
-    beta_above_4pi: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
 class SlopeCheck:
     measured: float
     predicted: float
@@ -104,12 +102,6 @@ class PohozaevBalance:
 
 
 @dataclass(frozen=True)
-class MassRelation:
-    residual: float
-    relative: float
-
-
-@dataclass(frozen=True)
 class ShootingRow:
     a2: float
     outcome: str
@@ -117,22 +109,6 @@ class ShootingRow:
     beta: tuple[float, ...]
     relation_rel: float
     solution: Optional[RadialSolution] = field(default=None, repr=False, compare=False)
-
-
-def _check_settings(
-    a0: Sequence[float], r_max: float, tol: float, nodes: int
-) -> np.ndarray:
-    """The central values and settings integrate_radial accepts; returns a0."""
-    start = np.asarray(a0, dtype=float)
-    if start.ndim != 1 or start.size == 0 or not np.all(np.isfinite(start)):
-        raise ValueError("initial values must be a finite vector")
-    if not (np.isfinite(r_max) and r_max >= 10.0):
-        raise ValueError("r_max must be at least 10 and finite")
-    if not 1e-12 <= tol <= 1e-6:
-        raise ValueError("tol must lie in [1e-12, 1e-6]")
-    if nodes < 16:
-        raise ValueError("nodes must be at least 16")
-    return start
 
 
 def integrate_radial(
@@ -154,7 +130,9 @@ def integrate_radial(
     the step size stalls, and aborts if the flux identity degrades beyond
     FLUX_ABORT.
     """
-    start = _check_settings(a0, r_max, tol, nodes)
+    start = np.array(_check_settings(a0, r_max, nodes))
+    if not 1e-12 <= tol <= 1e-6:
+        raise ValueError("tol must lie in [1e-12, 1e-6]")
     # imported here so that processes that never integrate skip compiling
     # the tableau when no bytecode is cached (about 6 ms and 0.4 MB)
     from . import _dop853
@@ -242,26 +220,6 @@ def flux_residuals(sol: RadialSolution) -> np.ndarray:
     return (defect / scale[None, :]).max(axis=0)
 
 
-def masses_and_exponents(sol: RadialSolution) -> MassReport:
-    """Total masses and decay exponents at r_max, with the 4 pi flags.
-
-    Requires small tails: each component must satisfy
-    e^{u_j(r_max)} 2 pi r_max^2 < 1e-4 alpha_j(r_max), otherwise the
-    reported mass is not close to its limit.
-    """
-    alpha = sol.alpha[:, -1]
-    tails = np.exp(sol.u[:, -1]) * 2.0 * np.pi * sol.r_max**2
-    if np.any(tails >= TAIL_FRACTION * alpha):
-        raise ValueError("mass tail too large at r_max; integrate to a larger r_max")
-    beta = sol.cartan @ alpha
-    return MassReport(
-        alpha=tuple(float(a) for a in alpha),
-        beta=tuple(float(b) for b in beta),
-        alpha_above_4pi=tuple(bool(a > FOUR_PI) for a in alpha),
-        beta_above_4pi=tuple(bool(b > FOUR_PI) for b in beta),
-    )
-
-
 def asymptotic_slopes(sol: RadialSolution) -> tuple[SlopeCheck, ...]:
     """Compare r u_j'(r_max) with the flux-predicted limit -beta_j / 2 pi."""
     report = masses_and_exponents(sol)
@@ -272,15 +230,6 @@ def asymptotic_slopes(sol: RadialSolution) -> tuple[SlopeCheck, ...]:
         rel = abs(measured - predicted) / abs(predicted)
         checks.append(SlopeCheck(measured, predicted, rel))
     return tuple(checks)
-
-
-def _series_radius(start: np.ndarray) -> float:
-    """Where the series hands over: SERIES_RADIUS, or less for a tall start.
-
-    The series is exact to O(e^{2 max a0} r^4), so it is accurate only
-    while e^{max a0} r^2 is small; max a0 <= 11.5 keeps SERIES_RADIUS.
-    """
-    return min(SERIES_RADIUS, float(np.sqrt(SERIES_GROWTH) * np.exp(-0.5 * start.max())))
 
 
 def _series_state(start: np.ndarray, amat: np.ndarray, r: float):
@@ -300,8 +249,14 @@ def ball_pohozaev(sol: RadialSolution, r: float) -> PohozaevBalance:
     rhs = -2 pi ((r u1')^2 + (r u2')^2 + (r u1')(r u2')); the identity
     follows from the system by parts, so the residual measures pure
     integration error.  r must lie in [r_nodes[1], r_max], the integrated
-    range; both sides start at O(r^4), the order the origin series drops,
-    so the residual means something only well past the hand-over radius.
+    range.  Both sides start at O(r^4), the order the origin series
+    drops, while the integrator's absolute error in lhs is about 1e-10,
+    so the residual means something only where |lhs| is well above that.
+    Against the closed form's exact lhs, residual / |lhs| for a0 = (0, 0)
+    reads 1.0 at r_nodes[1] = 1e-4 (lhs comes out twice its value),
+    4.6e3 at 2e-4, 24 at 1e-3, 2.9e-3 at 1e-2, 3.5e-5 at 0.03 and
+    2.4e-11 at 1: it falls below 1e-4 from r = 0.03 on, where |lhs| is
+    about 4e-6.  A tall start, whose core is narrower, clears it sooner.
     """
     if sol.n_components != 2:
         raise ValueError("ball identity is defined for two components")
@@ -312,20 +267,6 @@ def ball_pohozaev(sol: RadialSolution, r: float) -> PohozaevBalance:
     lhs = 6.0 * np.pi * r * r * float(np.exp(u).sum()) - 6.0 * float(alpha.sum())
     rhs = -2.0 * np.pi * float(w[0] ** 2 + w[1] ** 2 + w[0] * w[1])
     return PohozaevBalance(r=float(r), lhs=lhs, rhs=rhs, residual=lhs - rhs)
-
-
-def check_mass_relation(alpha1: float, alpha2: float) -> MassRelation:
-    """Signed and relative defect of a1^2 + a2^2 - a1 a2 = 4 pi (a1 + a2)."""
-    if alpha1 <= 0 or alpha2 <= 0:
-        raise ValueError("masses must be positive")
-    residual = (
-        alpha1 * alpha1 + alpha2 * alpha2 - alpha1 * alpha2
-        - FOUR_PI * (alpha1 + alpha2)
-    )
-    return MassRelation(
-        residual=float(residual),
-        relative=float(residual / (FOUR_PI * (alpha1 + alpha2))),
-    )
 
 
 def sweep_shooting(
@@ -368,14 +309,3 @@ def sweep_shooting(
             )
         )
     return tuple(rows)
-
-
-def write_solution_csv(sol: RadialSolution, destination) -> None:
-    """Write (r, u_j, du_j, alpha_j) rows to a path or text file object."""
-    names = [f"{q}{j + 1}" for q in ("u", "du", "alpha") for j in range(sol.n_components)]
-    table = np.vstack([sol.r_nodes, sol.u, sol.du, sol.alpha]).T
-    write_csv(
-        destination,
-        ",".join(["r"] + names),
-        (",".join(f"{x:.12g}" for x in row) for row in table),
-    )

@@ -240,6 +240,48 @@ def test_fit_keeps_all_scales_when_already_asymptotic():
     assert report.fits["energy"].slope == pytest.approx(2.0 * np.pi, rel=0.02)
 
 
+def _numpy_fit(used, m, transient):
+    """The fits as np.polyfit and np.linalg.lstsq give them, per quantity."""
+    logs = np.log(used)
+    fits = {}
+    for key in QUANTITY_KEYS:
+        vals = np.array([bubble_quantities(s, m)[key] for s in used])
+        if not transient:
+            slope, intercept = np.polyfit(logs, vals, 1)
+            fitted = slope * logs + intercept
+        else:
+            basis = np.column_stack([logs, np.ones_like(logs), np.exp(-2.0 * logs)])
+            coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
+            slope, intercept, fitted = coef[0], coef[1], basis @ coef
+        fits[key] = (slope, intercept, np.max(np.abs(vals - fitted)))
+    return fits
+
+
+@pytest.mark.parametrize(
+    "scales", [[np.e**k for k in (2, 3, 4, 5)], [np.e**k for k in (4, 5, 6, 7)]]
+)
+def test_fits_match_numpy_least_squares(scales):
+    # the pure-Python fits against numpy's, with tolerances fixed up front;
+    # log_mass_u1's slope tends to zero, hence the absolute floor
+    for m1 in np.linspace(2.0, 3.8, 10) * np.pi:
+        m = (m1, 3.0 * np.pi)
+        report = fit_slopes(scales, m)
+        transient = len(report.used_scales) < len(scales)
+        reference = _numpy_fit(report.used_scales, m, transient)
+        for key, (slope, intercept, residual) in reference.items():
+            fit = report.fits[key]
+            assert fit.slope == pytest.approx(slope, rel=1e-12, abs=1e-12), key
+            assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=1e-12), key
+            assert abs(fit.max_residual - residual) <= 1e-12, key
+
+
+def test_default_scales_drop_the_smallest():
+    from todalab.cli import SUITE_SCALES
+
+    report = fit_slopes(SUITE_SCALES, (3.0 * np.pi, 3.0 * np.pi))
+    assert report.used_scales == tuple(sorted(SUITE_SCALES)[-3:])
+
+
 def test_energy_slope_flips_sign_at_threshold():
     scales = [np.e**2, np.e**3, np.e**4, np.e**5]
     below = fit_slopes(scales, (3.0 * np.pi, np.pi)).fits["energy"].slope

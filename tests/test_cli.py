@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -191,23 +190,16 @@ def test_radial_validation_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, "radial", "--r-max", "5")
     assert code == 2
     assert "r_max must be at least 10" in capsys.readouterr().err
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_radial_stall_is_a_one_line_numerical_failure(tmp_path, capfd, monkeypatch):
-    # a stiff coupling matrix shrinks the first step below the spacing of
-    # floats before any output node is reached; the overflowing trial
-    # steps must not warn (a warning raises here), so stderr holds one line
-    import todalab.cli as cli
-    from todalab.radial import integrate_radial
-
-    stiff = np.array([[2.0, -1.0], [-1e35, 2.0]])
-    monkeypatch.setattr(cli, "integrate_radial",
-                        partial(integrate_radial, cartan=stiff), raising=False)
-    code, _ = run(tmp_path, "radial", "--a0", "0,0")
-    assert code == 1
-    err = capfd.readouterr().err
-    assert err == "numerical failure: integration stalled near radius 0.0001\n"
+    # the profile is exact, so there is no integrator tolerance to set
+    code, out = run(tmp_path, "radial", "--tol", "1e-8")
+    assert code == 2
+    assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+    assert not out.exists()
+    config = tmp_path / "old.cfg"
+    config.write_text("a0 = 0,0\ntol = 1e-10\n")
+    code, _ = run(tmp_path, "radial", "--config", str(config))
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown config key: tol\n"
 
 
 def test_tall_radial_start_converges(tmp_path):
@@ -217,12 +209,34 @@ def test_tall_radial_start_converges(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("a0, top", [("709,0", "709"), ("1500,1500", "1500")])
+@pytest.mark.parametrize("a0, top", [("1500,1500", "1500"), ("1484,0", "1484")])
 def test_overflowing_radial_start_is_a_one_line_numerical_failure(tmp_path, capfd, a0, top):
+    # past max a0 of about 1483.4 the first node sqrt(1e-3) e^{-max a0 / 2}
+    # underflows to zero
     code, _ = run(tmp_path, "radial", f"--a0={a0}")
     assert code == 1
     err = capfd.readouterr().err
-    assert err == f"numerical failure: the origin series overflows at central value {top}\n"
+    assert err == f"numerical failure: the first node radius underflows at central value {top}\n"
+
+
+def test_radial_start_past_the_float_range_is_a_one_line_numerical_failure(tmp_path, capfd):
+    # A^-1 a0 overflows, so the closed form's coefficients are not finite
+    code, _ = run(tmp_path, "radial", "--a0=-1.7e308,1")
+    assert code == 1
+    err = capfd.readouterr().err
+    assert err == (
+        "numerical failure: the closed form leaves the float range"
+        " at central values -1.7e+308,1\n"
+    )
+
+
+def test_radial_start_at_709_evaluates_in_log_space(tmp_path):
+    # e^{709} is near the top of the float range; the closed form never forms it
+    code, out = run(tmp_path, "radial", "--a0=709,0")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    for alpha in report["alpha"]:
+        assert abs(alpha / (8 * PI) - 1.0) < 1e-4
 
 
 def test_negative_value_may_follow_its_flag(tmp_path, capsys):
@@ -291,6 +305,7 @@ def test_uncreatable_output_directory_exits_2(tmp_path, capsys, monkeypatch):
         (("radial", "--r-max", "nan"), "r_max must be at least 10 and finite"),
         (("radial", "--r-max", "inf"), "r_max must be at least 10 and finite"),
         (("radial", "--a0", "nan,0"), "initial values must be a finite vector"),
+        (("radial", "--a0", ",".join(["0"] * 13)), "the closed form is limited to rank <= 12"),
     ],
 )
 def test_bad_settings_exit_2_before_compute(tmp_path, capsys, args, message):
@@ -512,7 +527,11 @@ def test_commands_load_only_their_modules(tmp_path):
         f" '--out', {str(tmp_path / 'r')!r}]) == 0",
         "assert not loaded(*never, 'todalab.bubbles'), loaded(*never, 'todalab.bubbles')",
         f"assert main(['bubble', '--out', {str(tmp_path / 'b')!r}]) == 0",
+        # the closed-form profile and the slope fits need only the standard library
+        "arrays = ('numpy', 'todalab._dop853', 'todalab.radial')",
+        "assert not loaded(*arrays), loaded(*arrays)",
         f"assert main(['identities', '--out', {str(tmp_path / 'i')!r}]) == 0",
+        "assert loaded(*arrays) == list(arrays)",
         "assert not loaded(*never), loaded(*never)",
     ])
     src = Path(todalab.__file__).resolve().parents[1]

@@ -1,6 +1,7 @@
 """Radial integrator checks against closed-form solutions and identities."""
 
 import io
+import itertools
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import solve_ivp
 
 from todalab.cartan import NumericalError, cartan_su
+from todalab.closed_form import radial_profile
 from todalab.radial import (
     BlowUpError,
     _series_radius,
@@ -126,6 +128,25 @@ def test_ball_identity_vanishes_at_tiny_radius():
     assert abs(balance.lhs) < 1e-8
     assert abs(balance.rhs) < 1e-8
     assert abs(balance.residual) < 1e-8
+
+
+def test_ball_identity_means_something_where_lhs_clears_the_integration_error():
+    # both sides are O(r^4) at the origin while the integrator's absolute
+    # error in lhs is about 1e-10, so residual / |lhs| is noise near the
+    # origin; against the closed form's exact lhs it falls below the
+    # suite's 1e-4 bound from r = 0.03 on, where |lhs| is about 4e-6
+    for a0 in ((0.0, 0.0), (0.0, -1.5)):
+        sol = integrate_radial(a0)
+        exact = radial_profile(a0)
+        for r in (0.03, 0.1, 1.0, 10.0, 100.0):
+            u, w, alpha = exact.state(r)
+            lhs = 6 * PI * r * r * (np.exp(u[0]) + np.exp(u[1])) - 6 * (alpha[0] + alpha[1])
+            assert abs(ball_pohozaev(sol, r).residual) < 1e-4 * abs(lhs)
+        # at the first node the series state lacks the r^4 terms: lhs doubles
+        r = sol.r_nodes[1]
+        u, w, alpha = exact.state(r)
+        lhs = 6 * PI * r * r * (np.exp(u[0]) + np.exp(u[1])) - 6 * (alpha[0] + alpha[1])
+        assert ball_pohozaev(sol, r).lhs == pytest.approx(2 * lhs, rel=1e-3)
 
 
 def test_ball_identity_input_validation():
@@ -353,3 +374,62 @@ def test_solution_csv_layout():
     assert first == [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     last = [float(x) for x in lines[-1].split(",")]
     assert last[0] == pytest.approx(1000.0)
+
+
+# the closed form as the integrator's oracle: the box |a0_j| <= 5 keeps
+# the integrator's own error at tol 1e-10 well inside the bounds (at
+# |a0_j| = 10 it reaches 1.7e-7 in u and 1.1e-6 in alpha)
+ORACLE_BOX = 5.0
+CORNERS = [
+    corner
+    for rank in (2, 3, 4)
+    for corner in itertools.product((-ORACLE_BOX, ORACLE_BOX), repeat=rank)
+]
+
+
+def _assert_integrator_matches_closed_form(a0):
+    sol = integrate_radial(a0, tol=1e-10)
+    exact = radial_profile(a0)
+    alpha = np.array(exact.alpha)
+    assert np.max(np.abs(sol.u - np.array(exact.u))) <= 1e-7
+    # flux_residuals' normalization
+    scale = 1.0 + alpha.sum(axis=0)
+    assert np.max(np.abs(sol.alpha - alpha) / scale) <= 1e-8
+    # total masses 4 pi k (N + 1 - k): the integrated mass out to r_max
+    # plus the exact tail beyond it, out to where it has fully decayed
+    rank = len(a0)
+    far = exact.state(1e15)[2]
+    for k in range(rank):
+        total = sol.alpha[k, -1] + (far[k] - exact.alpha[k][-1])
+        expected = 4 * PI * (k + 1) * (rank - k)
+        assert abs(total - expected) <= 1e-8 * scale[-1]
+
+
+@st.composite
+def oracle_starts(draw):
+    rank = draw(st.integers(2, 4))
+    box = st.floats(-ORACLE_BOX, ORACLE_BOX)
+    return tuple(draw(st.lists(box, min_size=rank, max_size=rank)))
+
+
+@given(a0=oracle_starts())
+@example(a0=(0.0, 0.0))
+@example(a0=(0.0, -1.5))
+@example(a0=(0.3, -0.2, 0.1))
+def test_integrator_agrees_with_the_closed_form(a0):
+    _assert_integrator_matches_closed_form(a0)
+
+
+@pytest.mark.parametrize("a0", CORNERS)
+def test_integrator_agrees_with_the_closed_form_at_the_corners(a0):
+    _assert_integrator_matches_closed_form(a0)
+
+
+def test_closed_form_masses_reach_their_limits():
+    # alpha_k(infinity) = 4 pi k (N + 1 - k) at every rank the closed form takes
+    for rank in (1, 2, 3, 6, 12):
+        a0 = tuple(0.25 * j - 1.0 for j in range(rank))
+        far = radial_profile(a0, r_max=1e12, nodes=16)
+        for k, row in enumerate(far.alpha):
+            expected = 4 * PI * (k + 1) * (rank - k)
+            assert row[-1] == pytest.approx(expected, rel=1e-9)

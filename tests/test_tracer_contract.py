@@ -22,6 +22,7 @@ def _tracing(monkeypatch):
 def test_tracer_wrappers_install_run_and_restore(monkeypatch, tmp_path):
     tracing = _tracing(monkeypatch)
     import todalab.cli as cli
+    import todalab.radial as radial
 
     seen = tracing.Observed()
     originals = tracing._install(tracing.Tracer(), seen)
@@ -30,6 +31,9 @@ def test_tracer_wrappers_install_run_and_restore(monkeypatch, tmp_path):
             assert getattr(module, name) is not original
         out = tmp_path / "radial"
         assert cli.main(["radial", "--a0", "0,0", "--r-max", "10", "--out", str(out)]) == 0
+        # the radial command samples the closed form; the identity suite
+        # integrates through this wrapped name
+        radial.integrate_radial((0.0, 0.0), r_max=10.0)
         out = tmp_path / "minimize"
         argv = ["minimize", "--n", "16", "--max-iters", "3", "--summary-only", "true"]
         assert cli.main([*argv, "--out", str(out)]) == 0
