@@ -76,9 +76,7 @@ _EXPORTS = {
         "pohozaev": ("DiskBalance", "disk_balance", "radius_scan", "write_balance_csv"),
         "radial": (
             "BlowUpError",
-            "RadialSolution",
             "ball_pohozaev",
-            "flux_residuals",
             "integrate_radial",
             "sweep_shooting",
         ),

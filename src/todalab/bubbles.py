@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
-from .cartan import FOUR_PI, _coupling_values
+from .cartan import FOUR_PI, _coupling_values, _dot
 
 if TYPE_CHECKING:
     from .functional import MultiField
@@ -199,10 +199,6 @@ class SlopeFitReport:
     fits: dict[str, SlopeFit]
     used_scales: tuple[float, ...]
     couplings: tuple[float, float]
-
-
-def _dot(x: Sequence[float], y: Sequence[float]) -> float:
-    return sum(a * b for a, b in zip(x, y))
 
 
 def _least_squares(columns: list[list[float]], vals: list[float]) -> SlopeFit:

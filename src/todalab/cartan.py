@@ -71,6 +71,11 @@ def _inverse_rows(rank: int) -> tuple[tuple[float, ...], ...]:
     )
 
 
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    """The dot product of two float sequences, summed in order."""
+    return sum(a * b for a, b in zip(x, y))
+
+
 def _read_only(rows: tuple[tuple[float, ...], ...]) -> np.ndarray:
     import numpy as np
 

@@ -17,9 +17,9 @@ alpha_k tends to 4 pi k (N + 1 - k).
 The sum has 2^{N+1} - 2 terms, so the rank is capped at MAX_SUBSET_RANK.
 This module needs only the standard library: the `radial` command
 samples the profile here on the integrator's nodes without loading
-numpy.  The helpers that read a profile (masses_and_exponents,
-write_solution_csv) also accept a radial.RadialSolution, whose fields
-carry the same names.
+numpy.  RadialProfile is also what radial.integrate_radial returns, so
+the helpers that read a profile (flux_max, state, masses_and_exponents,
+write_solution_csv) serve the exact and the integrated one alike.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from numbers import Real
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._csv import write_csv
-from .cartan import FOUR_PI, MAX_SUBSET_RANK, NumericalError, _cartan_rows, _inverse_rows
+from .cartan import FOUR_PI, MAX_SUBSET_RANK, NumericalError, _cartan_rows, _dot, _inverse_rows
 
 __all__ = [
     "RadialProfile",
@@ -49,6 +49,8 @@ SERIES_RADIUS = 1e-4
 # e^{max a0} r^2 at the hand-over of a tall start: its r^4 term is small
 SERIES_GROWTH = 1e-3
 TAIL_FRACTION = 1e-4
+# the most radial nodes a profile takes: each row is a tuple this long
+MAX_NODES = 100_000
 
 Rows = tuple[tuple[float, ...], ...]
 # per level k = 1..N, the (log coefficient, exponent of s) of each term of g_k
@@ -71,11 +73,13 @@ class MassRelation:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """The exact profile on the radial integrator's nodes, as plain tuples.
+    """A radial profile on increasing radii, as plain tuples.
 
-    r_nodes starts at 0 and ends at r_max exactly; u, du and alpha hold
-    one row per component; cartan holds the rows of cartan_su(N).  The
-    fields are named as in radial.RadialSolution.
+    r_nodes starts at 0 (the central values) and ends at r_max exactly;
+    u, du and alpha hold one row per component; cartan holds the rows of
+    the coupling matrix.  state(r) gives (u, r u', alpha) at any radius
+    in (0, r_max], not only at the nodes: the closed form's own value
+    (radial_profile) or the integrator's dense output (integrate_radial).
     """
 
     r_nodes: tuple[float, ...]
@@ -85,34 +89,35 @@ class RadialProfile:
     a0: tuple[float, ...]
     cartan: Rows
     r_max: float
-    _levels: Levels = field(repr=False)
+    state: Callable[[float], Rows] = field(repr=False, compare=False)
 
     @property
     def n_components(self) -> int:
         return len(self.a0)
 
-    def state(self, r: float) -> Rows:
-        """(u, r u', alpha) at any radius r > 0, not only at the nodes."""
-        return _state(self._levels, 2.0 * math.log(r))
-
     def flux_max(self) -> float:
-        """Largest normalized defect |-2 pi r u' - A alpha| / (1 + sum alpha).
+        """Largest normalized flux defect |-2 pi r u' - A alpha| / (1 + sum alpha).
 
-        r u' is computed from alpha here, so the defect is roundoff: a
-        consistency check of the sampled rows, not of the solution.
+        The divergence theorem makes the defect zero at every node past the
+        origin; the normalization matches the integrator's mixed
+        absolute/relative error control.  For the closed form, whose r u'
+        comes from alpha, the defect is roundoff.  The arithmetic runs in
+        the order of the array expression -2 pi (du r) - A @ alpha, one
+        component row at a time over all nodes.
         """
+        radii = self.r_nodes[1:]
+        alpha = [row[1:] for row in self.alpha]
+        scale = [1.0 + s for s in map(sum, zip(*alpha))]
         worst = 0.0
-        for i in range(1, len(self.r_nodes)):
-            alpha = [row[i] for row in self.alpha]
-            scale = 1.0 + sum(alpha)
-            for row, du in zip(self.cartan, self.du):
-                defect = abs(-2.0 * math.pi * self.r_nodes[i] * du[i] - _dot(row, alpha))
-                worst = max(worst, defect / scale)
+        for coeffs, du in zip(self.cartan, self.du):
+            flux = [0.0] * len(radii)
+            for a, column in zip(coeffs, alpha):
+                flux = [f + a * x for f, x in zip(flux, column)]
+            worst = max(worst, max(
+                abs(-2.0 * math.pi * (d * r) - f) / s
+                for d, r, f, s in zip(du[1:], radii, flux, scale)
+            ))
         return worst
-
-
-def _dot(row: Sequence[float], v: Sequence[float]) -> float:
-    return sum(a * b for a, b in zip(row, v))
 
 
 def _check_settings(a0: Sequence[float], r_max: float, nodes: int) -> tuple[float, ...]:
@@ -130,6 +135,8 @@ def _check_settings(a0: Sequence[float], r_max: float, nodes: int) -> tuple[floa
         raise ValueError("r_max must be at least 10 and finite")
     if nodes < 16:
         raise ValueError("nodes must be at least 16")
+    if nodes > MAX_NODES:
+        raise ValueError(f"nodes must be at most {MAX_NODES}")
     return start
 
 
@@ -246,25 +253,24 @@ def radial_profile(
         a0=start,
         cartan=_cartan_rows(rank),
         r_max=float(r_max),
-        _levels=levels,
+        state=lambda r: _state(levels, 2.0 * math.log(r)),
     )
 
 
-def masses_and_exponents(sol) -> MassReport:
+def masses_and_exponents(sol: RadialProfile) -> MassReport:
     """Total masses and decay exponents at r_max, with the 4 pi flags.
 
-    sol is a RadialProfile or a radial.RadialSolution.  Requires small
-    tails: each component must satisfy e^{u_j(r_max)} 2 pi r_max^2 <
-    TAIL_FRACTION alpha_j(r_max), otherwise the reported mass is not
-    close to its limit.
+    Requires small tails: each component must satisfy e^{u_j(r_max)} 2 pi
+    r_max^2 < TAIL_FRACTION alpha_j(r_max), otherwise the reported mass
+    is not close to its limit.
     """
-    alpha = tuple(float(row[-1]) for row in sol.alpha)
+    alpha = tuple(row[-1] for row in sol.alpha)
     # the rule in logs, so that no factor overflows at a large r_max
     log_area = math.log(2.0 * math.pi) + 2.0 * math.log(sol.r_max)
     for row, mass in zip(sol.u, alpha):
         if mass <= 0.0 or row[-1] + log_area >= math.log(TAIL_FRACTION * mass):
             raise ValueError("mass tail too large at r_max; integrate to a larger r_max")
-    beta = tuple(float(_dot(row, alpha)) for row in sol.cartan)
+    beta = tuple(_dot(row, alpha) for row in sol.cartan)
     return MassReport(
         alpha=alpha,
         beta=beta,
@@ -287,11 +293,8 @@ def check_mass_relation(alpha1: float, alpha2: float) -> MassRelation:
     )
 
 
-def write_solution_csv(sol, destination) -> None:
-    """Write (r, u_j, du_j, alpha_j) rows to a path or text file object.
-
-    sol is a RadialProfile or a radial.RadialSolution.
-    """
+def write_solution_csv(sol: RadialProfile, destination) -> None:
+    """Write (r, u_j, du_j, alpha_j) rows to a path or text file object."""
     names = [f"{q}{j + 1}" for q in ("u", "du", "alpha") for j in range(sol.n_components)]
     write_csv(
         destination,

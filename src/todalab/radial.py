@@ -8,23 +8,25 @@ integrator is the package's own DOP853 (private module _dop853), so the
 identity suite needs numpy alone.  Running
 masses ride along as companion unknowns, so the divergence-theorem flux
 identity -2 pi r u_i'(r) = sum_j a_ij alpha_j(r) is available at every
-node as an integrator self-test.  For the coupling matrix cartan_su(N)
-the module closed_form has the exact profile, which the `radial` command
-prints and the tests hold the integrator to; the integrator stays for
-the identity suite and for any other matrix.
+node as an integrator self-test (RadialProfile.flux_max).  The result
+is a closed_form.RadialProfile, the type the closed form returns for
+the coupling matrix cartan_su(N); the `radial` command prints that exact
+profile and the tests hold the integrator to it, while the integrator
+stays for the identity suite and for any other matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .cartan import NumericalError, cartan_su
+from .cartan import NumericalError, _dot, cartan_su
 from .closed_form import (
     MassRelation,
     MassReport,
+    RadialProfile,
     _check_settings,
     _series_radius,
     check_mass_relation,
@@ -32,21 +34,14 @@ from .closed_form import (
     write_solution_csv,
 )
 
-if TYPE_CHECKING:
-    from ._dop853 import DenseSolution
-
 __all__ = [
-    "RadialSolution",
     "MassReport",
-    "SlopeCheck",
     "PohozaevBalance",
     "MassRelation",
     "ShootingRow",
     "BlowUpError",
     "integrate_radial",
-    "flux_residuals",
     "masses_and_exponents",
-    "asymptotic_slopes",
     "ball_pohozaev",
     "check_mass_relation",
     "sweep_shooting",
@@ -64,35 +59,6 @@ class BlowUpError(NumericalError):
         self.radius = float(radius)
 
 
-@dataclass(frozen=True, eq=False)
-class RadialSolution:
-    """Profiles, derivatives, and running masses on increasing radii.
-
-    r_nodes starts at 0 (series values) and ends at r_max; u, du, and
-    alpha hold one row per component; cartan is the (N, N) coupling matrix.
-    """
-
-    r_nodes: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    alpha: np.ndarray
-    a0: tuple[float, ...]
-    cartan: np.ndarray
-    r_max: float
-    _dense: DenseSolution = field(repr=False)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.a0)
-
-
-@dataclass(frozen=True)
-class SlopeCheck:
-    measured: float
-    predicted: float
-    rel_dev: float
-
-
 @dataclass(frozen=True)
 class PohozaevBalance:
     r: float
@@ -108,7 +74,7 @@ class ShootingRow:
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
     relation_rel: float
-    solution: Optional[RadialSolution] = field(default=None, repr=False, compare=False)
+    solution: Optional[RadialProfile] = field(default=None, repr=False, compare=False)
 
 
 def integrate_radial(
@@ -117,7 +83,7 @@ def integrate_radial(
     tol: float = 1e-10,
     cartan: Optional[np.ndarray] = None,
     nodes: int = 600,
-) -> RadialSolution:
+) -> RadialProfile:
     """Integrate from the origin out to r_max with running masses.
 
     a0 holds the central values u_j(0); smoothness forces u_j'(0) = 0,
@@ -177,59 +143,28 @@ def integrate_radial(
         )
 
     radii = np.exp(sol.t)
-    u = sol.y[:rank]
-    w = sol.y[rank : 2 * rank]
-    alpha = sol.y[2 * rank :]
-    du = w / radii[None, :]
+    u, w, alpha = np.split(sol.y, 3)
+    dense = sol.dense
 
-    r_nodes = np.concatenate([[0.0], radii])
-    u_full = np.concatenate([start[:, None], u], axis=1)
-    du_full = np.concatenate([np.zeros((rank, 1)), du], axis=1)
-    alpha_full = np.concatenate([np.zeros((rank, 1)), alpha], axis=1)
+    def state(r: float):
+        return tuple(tuple(part.tolist()) for part in np.split(dense(np.log(r)), 3))
 
-    result = RadialSolution(
-        r_nodes=r_nodes,
-        u=u_full,
-        du=du_full,
-        alpha=alpha_full,
-        a0=tuple(float(v) for v in start),
-        cartan=amat,
+    result = RadialProfile(
+        r_nodes=(0.0, *radii.tolist()),
+        u=tuple((a, *row) for a, row in zip(start.tolist(), u.tolist())),
+        du=tuple((0.0, *row) for row in (w / radii).tolist()),
+        alpha=tuple((0.0, *row) for row in alpha.tolist()),
+        a0=tuple(start.tolist()),
+        cartan=tuple(map(tuple, amat.tolist())),
         r_max=float(r_max),
-        _dense=sol.dense,
+        state=state,
     )
-    worst = float(flux_residuals(result).max())
+    worst = result.flux_max()
     if worst > FLUX_ABORT:
         raise RuntimeError(
             f"flux identity violated: residual {worst:.3e} exceeds {FLUX_ABORT:g}"
         )
     return result
-
-
-def flux_residuals(sol: RadialSolution) -> np.ndarray:
-    """Normalized flux defect |-2 pi r u' - K alpha| per node past the origin.
-
-    The divergence theorem makes the defect zero for the exact solution;
-    the normalization 1 + sum_j alpha_j matches the integrator's mixed
-    absolute/relative error control.
-    """
-    r = sol.r_nodes[1:]
-    w = sol.du[:, 1:] * r[None, :]
-    kalpha = sol.cartan @ sol.alpha[:, 1:]
-    defect = np.abs(-2.0 * np.pi * w - kalpha)
-    scale = 1.0 + sol.alpha[:, 1:].sum(axis=0)
-    return (defect / scale[None, :]).max(axis=0)
-
-
-def asymptotic_slopes(sol: RadialSolution) -> tuple[SlopeCheck, ...]:
-    """Compare r u_j'(r_max) with the flux-predicted limit -beta_j / 2 pi."""
-    report = masses_and_exponents(sol)
-    checks = []
-    for j in range(sol.n_components):
-        measured = float(sol.r_nodes[-1] * sol.du[j, -1])
-        predicted = -report.beta[j] / (2.0 * np.pi)
-        rel = abs(measured - predicted) / abs(predicted)
-        checks.append(SlopeCheck(measured, predicted, rel))
-    return tuple(checks)
 
 
 def _series_state(start: np.ndarray, amat: np.ndarray, r: float):
@@ -242,15 +177,16 @@ def _series_state(start: np.ndarray, amat: np.ndarray, r: float):
     )
 
 
-def ball_pohozaev(sol: RadialSolution, r: float) -> PohozaevBalance:
+def ball_pohozaev(sol: RadialProfile, r: float) -> PohozaevBalance:
     """Both sides of the ball identity at radius r.
 
     lhs = 6 pi r^2 (e^{u1}+e^{u2}) - 6 (alpha1+alpha2) and
     rhs = -2 pi ((r u1')^2 + (r u2')^2 + (r u1')(r u2')); the identity
     follows from the system by parts, so the residual measures pure
-    integration error.  r must lie in [r_nodes[1], r_max], the integrated
-    range.  Both sides start at O(r^4), the order the origin series
-    drops, while the integrator's absolute error in lhs is about 1e-10,
+    integration error (roundoff alone on the closed form's profile).  r
+    must lie in [r_nodes[1], r_max], the integrated range.  Both sides
+    start at O(r^4), the order the origin series drops, while the
+    integrator's absolute error in lhs is about 1e-10,
     so the residual means something only where |lhs| is well above that.
     Against the closed form's exact lhs, residual / |lhs| for a0 = (0, 0)
     reads 1.0 at r_nodes[1] = 1e-4 (lhs comes out twice its value),
@@ -262,8 +198,7 @@ def ball_pohozaev(sol: RadialSolution, r: float) -> PohozaevBalance:
         raise ValueError("ball identity is defined for two components")
     if not sol.r_nodes[1] <= r <= sol.r_max:
         raise ValueError("R out of range")
-    # the dense state (u, r u', alpha) at r
-    u, w, alpha = np.split(sol._dense(np.log(r)), 3)
+    u, w, alpha = (np.array(part) for part in sol.state(r))
     lhs = 6.0 * np.pi * r * r * float(np.exp(u).sum()) - 6.0 * float(alpha.sum())
     rhs = -2.0 * np.pi * float(w[0] ** 2 + w[1] ** 2 + w[0] * w[1])
     return PohozaevBalance(r=float(r), lhs=lhs, rhs=rhs, residual=lhs - rhs)
@@ -293,8 +228,8 @@ def sweep_shooting(
         try:
             report = masses_and_exponents(sol)
         except ValueError:
-            alpha = tuple(float(a) for a in sol.alpha[:, -1])
-            beta = tuple(float(b) for b in sol.cartan @ sol.alpha[:, -1])
+            alpha = tuple(row[-1] for row in sol.alpha)
+            beta = tuple(_dot(row, alpha) for row in sol.cartan)
             rows.append(ShootingRow(float(a2), "tail", alpha, beta, np.nan, sol))
             continue
         relation = check_mass_relation(*report.alpha)

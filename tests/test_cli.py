@@ -53,6 +53,11 @@ def test_list_and_range_parsers():
         parse_range("5pi:1pi")
     with pytest.raises(CliError):
         parse_grid_shape("9by9")
+    # the cap applies before a sweep lists its k1 * k2 couplings
+    assert parse_grid_shape("1000x1000") == (1000, 1000)
+    for text in ("1001x1", "1x1001", "100000x100000"):
+        with pytest.raises(CliError, match="at most 1000 per axis"):
+            parse_grid_shape(text)
 
 
 def test_minimize_writes_report_and_manifest(tmp_path):
@@ -306,6 +311,7 @@ def test_uncreatable_output_directory_exits_2(tmp_path, capsys, monkeypatch):
         (("radial", "--r-max", "inf"), "r_max must be at least 10 and finite"),
         (("radial", "--a0", "nan,0"), "initial values must be a finite vector"),
         (("radial", "--a0", ",".join(["0"] * 13)), "the closed form is limited to rank <= 12"),
+        (("radial", "--nodes", "100001"), "nodes must be at most 100000"),
     ],
 )
 def test_bad_settings_exit_2_before_compute(tmp_path, capsys, args, message):
@@ -332,6 +338,7 @@ def test_bad_settings_exit_2_before_compute(tmp_path, capsys, args, message):
         (("pohozaev", "--center", "0.5"), "expected exactly two comma-separated numbers"),
         (("minimize", "--summary-only", "maybe"), "cannot parse boolean 'maybe'"),
         (("identities", "--only", "some"), "expected one of all, bubble, radial; got 'some'"),
+        (("sweep", "--m-grid", "1001x9"), "grid shape must be at most 1000 per axis"),
     ],
 )
 def test_unparsable_input_exits_2_with_one_line(tmp_path, capsys, args, message):

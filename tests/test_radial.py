@@ -10,15 +10,13 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import solve_ivp
 
 from todalab.cartan import NumericalError, cartan_su
-from todalab.closed_form import radial_profile
+from todalab.closed_form import MAX_NODES, _check_settings, radial_profile
 from todalab.radial import (
     BlowUpError,
     _series_radius,
     _series_state,
-    asymptotic_slopes,
     ball_pohozaev,
     check_mass_relation,
-    flux_residuals,
     integrate_radial,
     masses_and_exponents,
     sweep_shooting,
@@ -55,16 +53,16 @@ def symmetric_exact(r):
 
 def test_symmetric_profile_matches_closed_form():
     sol = integrate_radial((0.0, 0.0))
-    r = sol.r_nodes[1:]
-    u_exact, du_exact, alpha_exact = symmetric_exact(r)
+    u, du, alpha = (np.asarray(rows) for rows in (sol.u, sol.du, sol.alpha))
+    u_exact, du_exact, alpha_exact = symmetric_exact(sol.r_nodes[1:])
     for j in range(2):
-        assert np.max(np.abs(sol.u[j, 1:] - u_exact)) < 1e-7
-        assert np.max(np.abs(sol.du[j, 1:] - du_exact)) < 1e-7
-        assert np.max(np.abs(sol.alpha[j, 1:] - alpha_exact)) < 1e-7
+        assert np.max(np.abs(u[j, 1:] - u_exact)) < 1e-7
+        assert np.max(np.abs(du[j, 1:] - du_exact)) < 1e-7
+        assert np.max(np.abs(alpha[j, 1:] - alpha_exact)) < 1e-7
     # origin row carries the initial data
     assert sol.r_nodes[0] == 0.0
-    assert tuple(sol.u[:, 0]) == (0.0, 0.0)
-    assert tuple(sol.du[:, 0]) == (0.0, 0.0)
+    assert tuple(u[:, 0]) == (0.0, 0.0)
+    assert tuple(du[:, 0]) == (0.0, 0.0)
 
 
 def test_symmetric_masses_reach_eight_pi():
@@ -83,9 +81,9 @@ def test_single_component_mass_is_four_pi():
     # whose total mass integrates to 4 pi
     sol = integrate_radial((0.0,), cartan=cartan_su(1))
     mu2 = 0.25
-    r = sol.r_nodes[1:]
+    r = np.asarray(sol.r_nodes[1:])
     u_exact = np.log(4 * mu2) - 2 * np.log1p(mu2 * r * r)
-    assert np.max(np.abs(sol.u[0, 1:] - u_exact)) < 1e-7
+    assert np.max(np.abs(np.asarray(sol.u[0][1:]) - u_exact)) < 1e-7
     report = masses_and_exponents(sol)
     assert abs(report.alpha[0] - 4 * PI) / (4 * PI) < 1e-4
     assert report.beta[0] == pytest.approx(2 * report.alpha[0])
@@ -93,21 +91,33 @@ def test_single_component_mass_is_four_pi():
 
 def test_flux_identity_holds_at_every_node():
     sol = integrate_radial((0.0, -1.0))
-    assert float(flux_residuals(sol).max()) < 1e-6
+    assert sol.flux_max() < 1e-6
+
+
+def _array_flux_max(sol):
+    """max over nodes past the origin of |-2 pi r u' - A alpha| / (1 + sum alpha), in numpy."""
+    r = np.asarray(sol.r_nodes[1:])
+    du, alpha = np.asarray(sol.du)[:, 1:], np.asarray(sol.alpha)[:, 1:]
+    defect = np.abs(-2.0 * np.pi * (du * r[None, :]) - np.asarray(sol.cartan) @ alpha)
+    return float((defect / (1.0 + alpha.sum(axis=0))[None, :]).max())
+
+
+@pytest.mark.parametrize("a2", [-1.5, -1.0, -0.5, 0.0, 0.5])
+@pytest.mark.parametrize("cartan", [None, CORRUPT], ids=["cartan", "corrupt"])
+def test_flux_max_matches_the_array_formula(a2, cartan):
+    # the identity suite's starts: the pure-Python loop keeps numpy's order
+    sol = integrate_radial((0.0, a2), cartan=cartan)
+    assert sol.flux_max() == _array_flux_max(sol)
+
+
+def test_closed_form_flux_is_roundoff():
+    for a0 in ((0.0, -0.7), (0.0, 0.0), (0.3, -0.2, 0.1)):
+        assert radial_profile(a0).flux_max() < 1e-15
 
 
 def test_running_masses_never_decrease():
     sol = integrate_radial((0.5, -1.5))
-    assert np.all(np.diff(sol.alpha, axis=1) > -1e-12)
-
-
-def test_asymptotic_slope_matches_flux_prediction():
-    sol = integrate_radial((0.0, 0.0))
-    checks = asymptotic_slopes(sol)
-    for check in checks:
-        # closed form: r u' = -4 lam^2 r^2 / (1 + lam^2 r^2) -> -4
-        assert abs(check.measured + 4.0) < 1e-3
-        assert check.rel_dev < 1e-8
+    assert np.all(np.diff(np.asarray(sol.alpha), axis=1) > -1e-12)
 
 
 def test_ball_identity_against_closed_form():
@@ -130,6 +140,15 @@ def test_ball_identity_vanishes_at_tiny_radius():
     assert abs(balance.residual) < 1e-8
 
 
+@pytest.mark.parametrize("a0", [(0.0, 0.0), (0.0, -1.5), (1.0, -2.0)])
+def test_ball_identity_holds_on_the_exact_profile(a0):
+    # the closed form's state leaves only roundoff in the identity
+    exact = radial_profile(a0)
+    for r in (0.03, 1.0, 10.0, 100.0, 1000.0):
+        balance = ball_pohozaev(exact, r)
+        assert abs(balance.residual) <= 1e-10 * abs(balance.lhs)
+
+
 def test_ball_identity_means_something_where_lhs_clears_the_integration_error():
     # both sides are O(r^4) at the origin while the integrator's absolute
     # error in lhs is about 1e-10, so residual / |lhs| is noise near the
@@ -139,13 +158,11 @@ def test_ball_identity_means_something_where_lhs_clears_the_integration_error():
         sol = integrate_radial(a0)
         exact = radial_profile(a0)
         for r in (0.03, 0.1, 1.0, 10.0, 100.0):
-            u, w, alpha = exact.state(r)
-            lhs = 6 * PI * r * r * (np.exp(u[0]) + np.exp(u[1])) - 6 * (alpha[0] + alpha[1])
+            lhs = ball_pohozaev(exact, r).lhs
             assert abs(ball_pohozaev(sol, r).residual) < 1e-4 * abs(lhs)
         # at the first node the series state lacks the r^4 terms: lhs doubles
         r = sol.r_nodes[1]
-        u, w, alpha = exact.state(r)
-        lhs = 6 * PI * r * r * (np.exp(u[0]) + np.exp(u[1])) - 6 * (alpha[0] + alpha[1])
+        lhs = ball_pohozaev(exact, r).lhs
         assert ball_pohozaev(sol, r).lhs == pytest.approx(2 * lhs, rel=1e-3)
 
 
@@ -196,7 +213,7 @@ def test_scaling_covariance():
         (0.3 + 2 * np.log(s), -0.7 + 2 * np.log(s)), r_max=1000.0 / s
     )
     for j in range(2):
-        assert abs(base.alpha[j, -1] - scaled.alpha[j, -1]) < 1e-4
+        assert abs(base.alpha[j][-1] - scaled.alpha[j][-1]) < 1e-4
 
 
 def test_blow_up_guard_reports_radius():
@@ -269,13 +286,14 @@ def test_integrator_matches_solve_ivp_bit_for_bit(run):
     assert ref.status == 0
     rank = sol.n_components
     radii = np.exp(ref.t)
+    u, du, alpha = (np.asarray(rows) for rows in (sol.u, sol.du, sol.alpha))
     assert np.array_equal(sol.r_nodes[1:], radii)
-    assert np.array_equal(sol.u[:, 1:], ref.y[:rank])
-    assert np.array_equal(sol.du[:, 1:], ref.y[rank : 2 * rank] / radii[None, :])
-    assert np.array_equal(sol.alpha[:, 1:], ref.y[2 * rank :])
+    assert np.array_equal(u[:, 1:], ref.y[:rank])
+    assert np.array_equal(du[:, 1:], ref.y[rank : 2 * rank] / radii[None, :])
+    assert np.array_equal(alpha[:, 1:], ref.y[2 * rank :])
     for r in (1.0, np.sqrt(run["r_max"]), run["r_max"]):
         want = ref.sol(np.log(r))
-        assert np.array_equal(sol._dense(np.log(r)), want)
+        assert np.array_equal(np.concatenate(sol.state(r)), want)
 
 
 @pytest.mark.parametrize("s", [16.0, 20.0, 22.0])
@@ -361,6 +379,18 @@ def test_integrate_validations():
             integrate_radial((0.0, 0.0), cartan=[[bad, 0.0], [0.0, 2.0]])
     with pytest.raises(ValueError, match="nodes"):
         integrate_radial((0.0, 0.0), nodes=8)
+    with pytest.raises(ValueError, match="nodes must be at most 100000"):
+        integrate_radial((0.0, 0.0), nodes=MAX_NODES + 1)
+
+
+def test_node_count_is_capped_before_anything_is_built():
+    assert MAX_NODES == 100_000
+    assert _check_settings((0.0, 0.0), 1000.0, MAX_NODES) == (0.0, 0.0)
+    for nodes in (MAX_NODES + 1, 10**12):
+        with pytest.raises(ValueError, match="nodes must be at most 100000"):
+            _check_settings((0.0, 0.0), 1000.0, nodes)
+        with pytest.raises(ValueError, match="nodes must be at most 100000"):
+            radial_profile((0.0, 0.0), nodes=nodes)
 
 
 def test_solution_csv_layout():
@@ -391,16 +421,16 @@ def _assert_integrator_matches_closed_form(a0):
     sol = integrate_radial(a0, tol=1e-10)
     exact = radial_profile(a0)
     alpha = np.array(exact.alpha)
-    assert np.max(np.abs(sol.u - np.array(exact.u))) <= 1e-7
-    # flux_residuals' normalization
+    assert np.max(np.abs(np.asarray(sol.u) - np.array(exact.u))) <= 1e-7
+    # flux_max's normalization
     scale = 1.0 + alpha.sum(axis=0)
-    assert np.max(np.abs(sol.alpha - alpha) / scale) <= 1e-8
+    assert np.max(np.abs(np.asarray(sol.alpha) - alpha) / scale) <= 1e-8
     # total masses 4 pi k (N + 1 - k): the integrated mass out to r_max
     # plus the exact tail beyond it, out to where it has fully decayed
     rank = len(a0)
     far = exact.state(1e15)[2]
     for k in range(rank):
-        total = sol.alpha[k, -1] + (far[k] - exact.alpha[k][-1])
+        total = sol.alpha[k][-1] + (far[k] - exact.alpha[k][-1])
         expected = 4 * PI * (k + 1) * (rank - k)
         assert abs(total - expected) <= 1e-8 * scale[-1]
 

@@ -32,7 +32,11 @@ def test_tracer_wrappers_install_run_and_restore(monkeypatch, tmp_path):
         out = tmp_path / "radial"
         assert cli.main(["radial", "--a0", "0,0", "--r-max", "10", "--out", str(out)]) == 0
         # the radial command samples the closed form; the identity suite
-        # integrates through this wrapped name
+        # integrates through the wrapped name and its counters read the
+        # profiles it returns
+        out = tmp_path / "identities"
+        assert cli.main(["identities", "--only", "radial", "--out", str(out)]) == 0
+        assert seen.radial == {"converged": 5}
         radial.integrate_radial((0.0, 0.0), r_max=10.0)
         out = tmp_path / "minimize"
         argv = ["minimize", "--n", "16", "--max-iters", "3", "--summary-only", "true"]
