@@ -18,16 +18,12 @@ _EXPORTS = {
             "asymptotic_slope_table",
             "bubble_quantities",
             "fit_slopes",
-            "liouville_pde_residual",
-            "liouville_value",
             "standard_bubble",
         ),
         "cartan": (
             "cartan_su",
             "cartan_su_inverse",
             "lower_bound_condition",
-            "margin_condition",
-            "subset_margin",
         ),
         "cli": ("emit_identity_suite", "main", "parse_and_dispatch"),
         "closed_form": (

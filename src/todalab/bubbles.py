@@ -1,18 +1,19 @@
 """Concentrating two-component profiles and their growth rates.
 
-The family is built from the planar Liouville profile: component one is
-the logarithm of a rescaled standard density, truncated to a disk of
-radius flat_radius around (0.5, 0.5) and continued by its boundary value
-outside; component two is minus half of component one.  As the scale
+The family is built from the planar Liouville profile -2 log(1 + pi r^2),
+which is closed_form's rank-1 profile with a0 = log 4 pi, shifted by
+-log 4 pi: component one is the logarithm of a rescaled standard
+density, truncated to a disk of radius flat_radius around (0.5, 0.5)
+and continued by its boundary value outside; component two is minus
+half of component one.  As the scale
 grows the eight tracked quantities (three gradient pairings, two means,
 two exponential masses, and the energy) grow linearly in log(scale),
 and the energy slope changes sign exactly at coupling 4 pi, which makes
 the family a certified descent direction above the threshold.  Every
 radial integrand has an elementary antiderivative, so the quantities
-and the Liouville mass are closed forms; no quadrature runs here.  The
-quantities and the slope fits need only the standard library, so a
-`bubble` process never loads numpy; sampling on a grid and the Liouville
-array helpers import it when called.
+are closed forms; no quadrature runs here.  The quantities and the
+slope fits need only the standard library, so a `bubble` process never
+loads numpy; sampling on a grid imports it when called.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ __all__ = [
     "bubble_quantities",
     "asymptotic_slope_table",
     "fit_slopes",
-    "liouville_value",
-    "liouville_derivative",
-    "liouville_pde_residual",
-    "liouville_mass",
 ]
 
 DISCARD_TOL = 0.02
@@ -283,49 +280,3 @@ def fit_slopes(
         used = sc[1:]
         fits = {k: _fit_line_with_transient(logs[1:], v[1:]) for k, v in data.items()}
     return SlopeFitReport(fits, tuple(used), mv)
-
-
-# ---------------------------------------------------------------------------
-# the planar Liouville profile used as the local model of concentration
-
-
-def liouville_value(r):
-    """Profile -2 log(1 + pi r^2); peak value 0 at the origin."""
-    import numpy as np
-
-    return -2.0 * np.log1p(np.pi * np.asarray(r, dtype=float) ** 2)
-
-
-def liouville_derivative(r):
-    import numpy as np
-
-    r = np.asarray(r, dtype=float)
-    return -4.0 * np.pi * r / (1.0 + np.pi * r**2)
-
-
-def _liouville_second_derivative(r):
-    import numpy as np
-
-    r = np.asarray(r, dtype=float)
-    return -4.0 * np.pi * (1.0 - np.pi * r**2) / (1.0 + np.pi * r**2) ** 2
-
-
-def liouville_pde_residual(r):
-    """Pointwise defect in -lap(phi) = 8 pi exp(phi) for the radial profile.
-
-    The radial Laplacian is phi'' + phi'/r, extended by continuity with
-    2 phi''(0) at the origin.
-    """
-    import numpy as np
-
-    r = np.asarray(r, dtype=float)
-    second = _liouville_second_derivative(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first_over_r = np.where(r > 0, liouville_derivative(r) / np.where(r > 0, r, 1.0), second)
-    lap = second + first_over_r
-    return np.abs(-lap - 8.0 * np.pi * np.exp(liouville_value(r)))
-
-
-def liouville_mass(r_max: float = 1e4) -> float:
-    """Total mass of exp(phi) out to r_max, 1 - 1/(1 + pi r_max^2)."""
-    return 1.0 - 1.0 / (1.0 + math.pi * r_max**2)

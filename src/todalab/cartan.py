@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
 from numbers import Real
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,16 +24,11 @@ __all__ = [
     "NumericalError",
     "cartan_su",
     "cartan_su_inverse",
-    "subset_margin",
     "lower_bound_condition",
-    "margin_condition",
 ]
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
-
-# Enumerating all 2^N - 1 nonempty subsets is only sane for small rank.
-MAX_SUBSET_RANK = 12
 
 
 class NumericalError(RuntimeError):
@@ -117,32 +111,12 @@ def _check_couplings(m: Sequence[float], rank: int) -> np.ndarray:
     return np.array(_coupling_values(m, rank), dtype=np.float64)
 
 
-def subset_margin(m: Sequence[float], cartan: np.ndarray, subset: Iterable[int]) -> float:
-    """Boundedness margin of a component subset.
-
-    For a nonempty set J of component indices (0-based) this is
-    8 pi * sum_{j in J} m_j - sum_{i, j in J} a_ij m_i m_j; a singleton
-    {j} reduces to 2 m_j (4 pi - m_j), so the margin is nonnegative for
-    every subset exactly when every coupling is at most 4 pi.  The rank
-    is the length of the (N, N) coupling matrix cartan.
-    """
-    import numpy as np
-
-    rank = len(cartan)
-    mv = _check_couplings(m, rank)
-    idx = sorted(set(int(j) for j in subset))
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= rank:
-        raise ValueError("subset index out of range")
-    sel = np.array(idx, dtype=np.intp)
-    ms = mv[sel]
-    quad = float(ms @ cartan[np.ix_(sel, sel)] @ ms)
-    return EIGHT_PI * float(np.sum(ms)) - quad
-
-
 def lower_bound_condition(m: Sequence[float]) -> bool:
-    """True when every coupling is at most 4 pi (exact comparison)."""
+    """True when every coupling is at most 4 pi (exact comparison).
+
+    This is the paper's threshold: the functional is bounded below exactly
+    when every M_j <= 4 pi.
+    """
     try:
         rank = len(m)
     except TypeError:  # a bare number, which _coupling_values rejects
@@ -150,19 +124,3 @@ def lower_bound_condition(m: Sequence[float]) -> bool:
     if rank == 0:
         raise ValueError("coupling vector must be nonempty")
     return all(v <= FOUR_PI for v in _coupling_values(m, rank))
-
-
-def margin_condition(m: Sequence[float], cartan: np.ndarray) -> bool:
-    """True when subset_margin >= 0 for every nonempty subset.
-
-    Walks all 2^N - 1 subsets, so rank is capped at MAX_SUBSET_RANK.
-    """
-    rank = len(cartan)
-    if rank > MAX_SUBSET_RANK:
-        raise ValueError(f"subset enumeration limited to rank <= {MAX_SUBSET_RANK}")
-    indices = range(rank)
-    for size in range(1, rank + 1):
-        for subset in combinations(indices, size):
-            if subset_margin(m, cartan, subset) < 0:
-                return False
-    return True

@@ -433,7 +433,7 @@ def _run_bubble(config: RunConfig) -> int:
 
 
 def _run_radial(config: RunConfig) -> int:
-    """The exact profile of the closed form on the integrator's nodes."""
+    """The exact profile of the closed form on the nodes the integrator shares."""
     check_mass_relation, masses_and_exponents, radial_profile, write_solution_csv = _callees(
         "check_mass_relation", "masses_and_exponents", "radial_profile", "write_solution_csv",
     )

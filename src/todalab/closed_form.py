@@ -16,10 +16,11 @@ alpha_k tends to 4 pi k (N + 1 - k).
 
 The sum has 2^{N+1} - 2 terms, so the rank is capped at MAX_SUBSET_RANK.
 This module needs only the standard library: the `radial` command
-samples the profile here on the integrator's nodes without loading
-numpy.  RadialProfile is also what radial.integrate_radial returns, so
-the helpers that read a profile (flux_max, state, masses_and_exponents,
-write_solution_csv) serve the exact and the integrated one alike.
+samples the profile here without loading numpy, on the nodes of
+_node_grid, which radial.integrate_radial reports too.  RadialProfile
+is also what integrate_radial returns, so the helpers that read a
+profile (flux_max, state, masses_and_exponents, write_solution_csv)
+serve the exact and the integrated one alike.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 from ._csv import write_csv
-from .cartan import FOUR_PI, MAX_SUBSET_RANK, NumericalError, _cartan_rows, _dot, _inverse_rows
+from .cartan import FOUR_PI, NumericalError, _cartan_rows, _dot, _inverse_rows
 
 __all__ = [
     "RadialProfile",
@@ -51,6 +52,8 @@ SERIES_GROWTH = 1e-3
 TAIL_FRACTION = 1e-4
 # the most radial nodes a profile takes: each row is a tuple this long
 MAX_NODES = 100_000
+# the highest rank whose 2^{N+1} - 2 terms the closed form sums
+MAX_SUBSET_RANK = 12
 
 Rows = tuple[tuple[float, ...], ...]
 # per level k = 1..N, the (log coefficient, exponent of s) of each term of g_k
@@ -133,6 +136,8 @@ def _check_settings(a0: Sequence[float], r_max: float, nodes: int) -> tuple[floa
         raise ValueError("initial values must be a finite vector")
     if not (math.isfinite(r_max) and r_max >= 10.0):
         raise ValueError("r_max must be at least 10 and finite")
+    if not isinstance(nodes, Integral):
+        raise ValueError("nodes must be an integer")
     if nodes < 16:
         raise ValueError("nodes must be at least 16")
     if nodes > MAX_NODES:
@@ -212,17 +217,17 @@ def _state(levels: Levels, log_s: float) -> Rows:
     return u, w, tuple(alpha)
 
 
-def radial_profile(
-    a0: Sequence[float], r_max: float = 1000.0, nodes: int = 600
-) -> RadialProfile:
-    """The exact profile on the nodes integrate_radial reports.
+def _node_grid(
+    start: Sequence[float], r_max: float, nodes: int
+) -> tuple[list[float], tuple[float, ...]]:
+    """The log radii t_i of the nodes past the origin, and all the nodes.
 
-    The nodes are r = 0, then exp(t_i) for nodes values of t evenly spaced
-    from log _series_radius(a0) to log r_max, the last being r_max itself.
-    Raises NumericalError when the first node underflows to zero (max a0
-    above about 1483.4) or a value leaves the float range.
+    The t_i are nodes values evenly spaced from log _series_radius(start)
+    to log r_max, the values np.linspace gives; the nodes are r = 0, then
+    exp(t_i), the last being r_max itself.  Both radial_profile and
+    radial.integrate_radial report these nodes.  Raises NumericalError
+    when the first node underflows to zero (max a0 above about 1483.4).
     """
-    start = _check_profile_settings(a0, r_max, nodes)
     first = _series_radius(start)
     if first == 0.0:
         raise NumericalError(
@@ -230,7 +235,21 @@ def radial_profile(
         )
     t0, t1 = math.log(first), math.log(r_max)
     step = (t1 - t0) / (nodes - 1)
-    radii = [math.exp(t0 + i * step) for i in range(nodes - 1)] + [float(r_max)]
+    log_radii = [t0 + i * step for i in range(nodes - 1)] + [t1]
+    return log_radii, (0.0, *map(math.exp, log_radii[:-1]), float(r_max))
+
+
+def radial_profile(
+    a0: Sequence[float], r_max: float = 1000.0, nodes: int = 600
+) -> RadialProfile:
+    """The exact profile on the nodes of _node_grid, as integrate_radial's.
+
+    Raises NumericalError when the first node underflows to zero or a
+    value leaves the float range.
+    """
+    start = _check_profile_settings(a0, r_max, nodes)
+    r_nodes = _node_grid(start, r_max, nodes)[1]
+    radii = r_nodes[1:]
     levels = _terms(start)
     states = [_state(levels, 2.0 * math.log(r)) for r in radii]
     rank = len(start)
@@ -246,7 +265,7 @@ def radial_profile(
             + ",".join(f"{v:g}" for v in start)
         )
     return RadialProfile(
-        r_nodes=(0.0, *radii),
+        r_nodes=r_nodes,
         u=u,
         du=du,
         alpha=alpha,

@@ -28,6 +28,7 @@ from .closed_form import (
     MassReport,
     RadialProfile,
     _check_settings,
+    _node_grid,
     _series_radius,
     check_mass_relation,
     masses_and_exponents,
@@ -90,7 +91,9 @@ def integrate_radial(
     and the series u_j ~ a_j - (sum_k a_jk e^{a_k}) r^2 / 4 hands off to
     the log-radius integrator at _series_radius(a0): the in-repo DOP853 with
     rtol = atol = tol, whose results equal SciPy's solve_ivp bit for bit.
-    cartan is an (N, N) coupling matrix, cartan_su(N) when omitted.
+    The nodes are those of radial_profile (closed_form._node_grid), so
+    the integrated and the exact profile share every radius.  cartan is
+    an (N, N) coupling matrix, cartan_su(N) when omitted.
     Raises NumericalError when e^{max a0} overflows the series, BlowUpError
     when a profile climbs past the blow-up guard before reaching r_max or
     the step size stalls, and aborts if the flux identity degrades beyond
@@ -128,9 +131,9 @@ def integrate_radial(
     def blow_guard(t, y):
         return guard - y[:rank].max()
 
-    t_span = (np.log(r0), np.log(r_max))
-    t_eval = np.linspace(t_span[0], t_span[1], nodes)
-    sol = _dop853.integrate(rhs, t_span, y0, tol, t_eval, blow_guard)
+    log_radii, r_nodes = _node_grid(start, r_max, nodes)
+    t_span = (log_radii[0], log_radii[-1])
+    sol = _dop853.integrate(rhs, t_span, y0, tol, np.array(log_radii), blow_guard)
     if sol.status == 1:
         radius = float(np.exp(sol.t_event))
         raise BlowUpError(
@@ -142,7 +145,6 @@ def integrate_radial(
             f"integration stalled near radius {radius:.6g}", radius
         )
 
-    radii = np.exp(sol.t)
     u, w, alpha = np.split(sol.y, 3)
     dense = sol.dense
 
@@ -150,9 +152,9 @@ def integrate_radial(
         return tuple(tuple(part.tolist()) for part in np.split(dense(np.log(r)), 3))
 
     result = RadialProfile(
-        r_nodes=(0.0, *radii.tolist()),
+        r_nodes=r_nodes,
         u=tuple((a, *row) for a, row in zip(start.tolist(), u.tolist())),
-        du=tuple((0.0, *row) for row in (w / radii).tolist()),
+        du=tuple((0.0, *row) for row in (w / np.array(r_nodes[1:])).tolist()),
         alpha=tuple((0.0, *row) for row in alpha.tolist()),
         a0=tuple(start.tolist()),
         cartan=tuple(map(tuple, amat.tolist())),

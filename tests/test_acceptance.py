@@ -19,11 +19,10 @@ from todalab.bubbles import (
     BubbleParams,
     asymptotic_slope_table,
     fit_slopes,
-    liouville_mass,
-    liouville_pde_residual,
     standard_bubble,
 )
 from todalab.cli import parse_and_dispatch
+from todalab.closed_form import radial_profile
 from todalab.functional import (
     MultiField,
     energy,
@@ -205,10 +204,15 @@ def test_criterion_06_bubble_slopes():
 
 
 def test_criterion_07_liouville_bubble():
+    # the planar bubble is the rank-1 closed form started at u(0) = log 4 pi:
+    # u = log 4 pi - 2 log(1 + pi r^2), whose mass tends to 4 pi
     started = time.perf_counter()
-    assert liouville_mass() == pytest.approx(1.0, abs=1e-6)
-    r = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 121)])
-    assert np.max(np.abs(liouville_pde_residual(r))) < 1e-8
+    bubble = radial_profile((np.log(FOUR_PI),), r_max=1e4)
+    assert bubble.alpha[0][-1] / FOUR_PI == pytest.approx(1.0, abs=1e-6)
+    r = np.asarray(bubble.r_nodes)
+    exact = np.log(FOUR_PI) - 2.0 * np.log1p(PI * r * r)
+    assert bubble.flux_max() < 1e-8
+    assert np.max(np.abs(np.asarray(bubble.u[0]) - exact)) < 1e-8
     assert time.perf_counter() - started < 1.0
 
 

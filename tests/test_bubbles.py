@@ -13,12 +13,9 @@ from todalab.bubbles import (
     asymptotic_slope_table,
     bubble_quantities,
     fit_slopes,
-    liouville_derivative,
-    liouville_mass,
-    liouville_pde_residual,
-    liouville_value,
     standard_bubble,
 )
+from todalab.closed_form import radial_profile
 from todalab.functional import energy_u
 from todalab.grid import GridSpec
 
@@ -307,40 +304,60 @@ def test_fit_slopes_validation():
         fit_slopes([4.0, 5.0, 6.0, 7.0], m)
 
 
+# The planar Liouville bubble phi = -2 log(1 + pi r^2) solves
+# -lap(phi) = 8 pi e^phi; u = phi + log 4 pi then solves -lap(u) = 2 e^u,
+# the rank-1 system, so it is the closed form's rank-1 profile started at
+# u(0) = log 4 pi, whose total mass is 4 pi.
+LOG_FOUR_PI = np.log(4.0 * np.pi)
+
+
+def planar_bubble():
+    return radial_profile((LOG_FOUR_PI,), r_max=1e4)
+
+
 def test_liouville_pde_residual_vanishes():
-    r = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)])
-    assert np.max(liouville_pde_residual(r)) < 1e-12
+    bubble = planar_bubble()
+    # the flux identity -2 pi r u' = 2 alpha at every node, and the
+    # profile itself against the formula the sympy test verifies
+    assert bubble.flux_max() < 1e-12
+    r = np.asarray(bubble.r_nodes)
+    exact = LOG_FOUR_PI - 2.0 * np.log1p(np.pi * r * r)
+    assert np.max(np.abs(np.asarray(bubble.u[0]) - exact)) < 1e-12
 
 
 def test_liouville_derivatives_against_sympy():
     rs = sympy.symbols("r", positive=True)
-    phi = -2 * sympy.log(1 + sympy.pi * rs**2)
-    dphi = sympy.lambdify(rs, sympy.diff(phi, rs), "numpy")
-    r = np.geomspace(0.01, 50.0, 40)
-    np.testing.assert_allclose(liouville_derivative(r), dphi(r), rtol=1e-12)
-    lap = sympy.diff(phi, rs, 2) + sympy.diff(phi, rs) / rs
-    defect = sympy.simplify(-lap - 8 * sympy.pi * sympy.exp(phi))
+    u = -2 * sympy.log(1 + sympy.pi * rs**2) + sympy.log(4 * sympy.pi)
+    du = sympy.lambdify(rs, sympy.diff(u, rs), "numpy")
+    bubble = planar_bubble()
+    r = np.asarray(bubble.r_nodes[1:])
+    np.testing.assert_allclose(np.asarray(bubble.du[0][1:]), du(r), rtol=1e-12)
+    lap = sympy.diff(u, rs, 2) + sympy.diff(u, rs) / rs
+    defect = sympy.simplify(-lap - 2 * sympy.exp(u))
     assert defect == 0
 
 
 def test_liouville_mass_is_one():
-    assert liouville_mass() == pytest.approx(1.0, abs=1e-6)
-    # truncated mass has the closed form 1 - 1/(1 + pi R^2)
-    assert liouville_mass(2.0) == pytest.approx(1.0 - 1.0 / (1.0 + 4.0 * np.pi), rel=1e-9)
+    bubble = planar_bubble()
+    assert bubble.alpha[0][-1] / (4.0 * np.pi) == pytest.approx(1.0, abs=1e-6)
+    # truncated mass has the closed form 4 pi (1 - 1/(1 + pi R^2))
+    alpha = bubble.state(2.0)[2][0]
+    assert alpha / (4.0 * np.pi) == pytest.approx(1.0 - 1.0 / (1.0 + 4.0 * np.pi), rel=1e-9)
 
 
-@pytest.mark.parametrize("r_max", [2.0, 1e4])
-def test_liouville_mass_matches_quadrature(r_max):
+@pytest.mark.parametrize("radius", [2.0, 1e4])
+def test_liouville_mass_matches_quadrature(radius):
+    bubble = planar_bubble()
     want, _ = quad(
-        lambda r: 2.0 * np.pi * r * np.exp(liouville_value(r)),
+        lambda r: 2.0 * np.pi * r * np.exp(bubble.state(r)[0][0]),
         0.0,
-        r_max,
+        radius,
         epsabs=1e-12,
         epsrel=1e-12,
         limit=400,
         points=[1.0],
     )
-    assert liouville_mass(r_max) == pytest.approx(want, rel=1e-9)
+    assert bubble.state(radius)[2][0] == pytest.approx(want, rel=1e-9)
 
 
 def test_family_energy_trend_across_threshold():

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import solve_ivp
 
 from todalab.cartan import NumericalError, cartan_su
-from todalab.closed_form import MAX_NODES, _check_settings, radial_profile
+from todalab.closed_form import MAX_NODES, _check_settings, _node_grid, radial_profile
 from todalab.radial import (
     BlowUpError,
     _series_radius,
@@ -224,7 +224,7 @@ def test_blow_up_guard_reports_radius():
 
 
 def reference_solve_ivp(a0, r_max=1000.0, tol=1e-10, cartan=None, nodes=600):
-    """integrate_radial's former integrator call: scipy's DOP853."""
+    """integrate_radial's integrator call made with scipy's DOP853."""
     start = np.asarray(a0, dtype=float)
     rank = start.size
     amat = cartan_su(rank) if cartan is None else cartan
@@ -245,11 +245,10 @@ def reference_solve_ivp(a0, r_max=1000.0, tol=1e-10, cartan=None, nodes=600):
     blow_guard.terminal = True
     blow_guard.direction = -1.0
 
-    t_span = (np.log(r0), np.log(r_max))
-    t_eval = np.linspace(t_span[0], t_span[1], nodes)
+    t_eval = np.array(_node_grid(start, r_max, nodes)[0])
     return solve_ivp(
         rhs,
-        t_span,
+        (t_eval[0], t_eval[-1]),
         y0,
         method="DOP853",
         rtol=tol,
@@ -280,20 +279,32 @@ def radial_runs(draw):
 @example(run=dict(a0=(0.0,), r_max=10.0, tol=1e-12, nodes=16, cartan=None))
 @example(run=dict(a0=(1.5, -2.0, 0.3), r_max=2000.0, tol=1e-6, nodes=800, cartan=None))
 @example(run=dict(a0=(20.0, 20.0), r_max=1000.0, tol=1e-10, nodes=600, cartan=None))
+@example(run=dict(a0=(15.5, 0.0), r_max=1000.0, tol=1e-10, nodes=600, cartan=None))
 def test_integrator_matches_solve_ivp_bit_for_bit(run):
     sol = integrate_radial(**run)
     ref = reference_solve_ivp(**run)
     assert ref.status == 0
     rank = sol.n_components
-    radii = np.exp(ref.t)
+    # the shared node rule: the log radii are np.linspace's between the
+    # same ends, and the nodes end at r_max exactly
+    log_radii, r_nodes = _node_grid(sol.a0, run["r_max"], run["nodes"])
+    assert np.array_equal(np.linspace(log_radii[0], log_radii[-1], run["nodes"]), log_radii)
+    assert np.array_equal(ref.t, log_radii)
+    assert sol.r_nodes == r_nodes
+    assert sol.r_nodes[-1] == run["r_max"]
+    radii = np.asarray(r_nodes[1:])
     u, du, alpha = (np.asarray(rows) for rows in (sol.u, sol.du, sol.alpha))
-    assert np.array_equal(sol.r_nodes[1:], radii)
     assert np.array_equal(u[:, 1:], ref.y[:rank])
     assert np.array_equal(du[:, 1:], ref.y[rank : 2 * rank] / radii[None, :])
     assert np.array_equal(alpha[:, 1:], ref.y[2 * rank :])
     for r in (1.0, np.sqrt(run["r_max"]), run["r_max"]):
         want = ref.sol(np.log(r))
         assert np.array_equal(np.concatenate(sol.state(r)), want)
+    if rank == 2:
+        # the closed form has the same first node, so its ball balance
+        # takes every radius the integrated one does
+        exact = radial_profile(sol.a0, run["r_max"], run["nodes"])
+        assert ball_pohozaev(exact, sol.r_nodes[1]).r == sol.r_nodes[1]
 
 
 @pytest.mark.parametrize("s", [16.0, 20.0, 22.0])
@@ -381,6 +392,9 @@ def test_integrate_validations():
         integrate_radial((0.0, 0.0), nodes=8)
     with pytest.raises(ValueError, match="nodes must be at most 100000"):
         integrate_radial((0.0, 0.0), nodes=MAX_NODES + 1)
+    for build in (integrate_radial, radial_profile):
+        with pytest.raises(ValueError, match="nodes must be an integer"):
+            build((0.0, 0.0), nodes=100.5)
 
 
 def test_node_count_is_capped_before_anything_is_built():
@@ -420,6 +434,9 @@ CORNERS = [
 def _assert_integrator_matches_closed_form(a0):
     sol = integrate_radial(a0, tol=1e-10)
     exact = radial_profile(a0)
+    # one node rule: the same radii, ending at r_max exactly
+    assert sol.r_nodes == exact.r_nodes
+    assert sol.r_nodes[-1] == exact.r_nodes[-1] == 1000.0
     alpha = np.array(exact.alpha)
     assert np.max(np.abs(np.asarray(sol.u) - np.array(exact.u))) <= 1e-7
     # flux_max's normalization
