@@ -11,9 +11,11 @@ two exponential masses, and the energy) grow linearly in log(scale),
 and the energy slope changes sign exactly at coupling 4 pi, which makes
 the family a certified descent direction above the threshold.  Every
 radial integrand has an elementary antiderivative, so the quantities
-are closed forms; no quadrature runs here.  The quantities and the
-slope fits need only the standard library, so a `bubble` process never
-loads numpy; sampling on a grid imports it when called.
+are closed forms; no quadrature runs here.  Each slope is one least
+squares fit over every scale on the closed forms' asymptotic terms, so
+no scale is dropped.  The quantities and the slope fits need only the
+standard library, so a `bubble` process never loads numpy; sampling on
+a grid imports it when called.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
-from .cartan import FOUR_PI, _coupling_values, _dot
+from .cartan import FOUR_PI, NumericalError, _coupling_values, _dot
 
 if TYPE_CHECKING:
     from .functional import MultiField
@@ -39,7 +41,9 @@ __all__ = [
     "fit_slopes",
 ]
 
-DISCARD_TOL = 0.02
+# the largest profile scale: scale^2 overflows past about 1.3e154, and up
+# to this one every quantity but the energy is finite at any flat_radius
+MAX_SCALE = 1e150
 
 QUANTITY_KEYS = (
     "grad1_sq",
@@ -62,8 +66,7 @@ class BubbleParams:
     center: ClassVar[tuple[float, float]] = (0.5, 0.5)
 
     def __post_init__(self):
-        if not math.isfinite(self.scale) or self.scale <= 1.0:
-            raise ValueError("scale must exceed 1")
+        _check_scale(self.scale)
         _check_flat_radius(self.flat_radius)
 
 
@@ -74,9 +77,11 @@ def _check_flat_radius(flat_radius: float) -> None:
 
 
 def _check_scale(scale: float) -> None:
-    """The profile scale rule of bubble_quantities, NaN and inf included."""
+    """The profile scale rule, NaN and inf included."""
     if not 2.0 <= scale < math.inf:
         raise ValueError("scale must be finite and at least 2")
+    if scale > MAX_SCALE:
+        raise ValueError(f"scale must be at most {MAX_SCALE:g}")
 
 
 def standard_bubble(
@@ -194,7 +199,6 @@ class SlopeFitReport:
     """Least-squares slopes of each quantity against log(scale)."""
 
     fits: dict[str, SlopeFit]
-    used_scales: tuple[float, ...]
     couplings: tuple[float, float]
 
 
@@ -203,7 +207,7 @@ def _least_squares(columns: list[list[float]], vals: list[float]) -> SlopeFit:
 
     A thin QR factorization by modified Gram-Schmidt, then back
     substitution; returns the first two coefficients and the largest
-    absolute residual.
+    absolute residual, or raises NumericalError on dependent columns.
     """
     q = [list(c) for c in columns]
     rhs = list(vals)
@@ -215,6 +219,8 @@ def _least_squares(columns: list[list[float]], vals: list[float]) -> SlopeFit:
             r[i][j] = _dot(q[i], q[j])
             q[j] = [x - r[i][j] * y for x, y in zip(q[j], q[i])]
         r[j][j] = math.sqrt(_dot(q[j], q[j]))
+        if r[j][j] == 0.0:
+            raise NumericalError("the scales lie too close together to determine the fit")
         q[j] = [x / r[j][j] for x in q[j]]
         proj[j] = _dot(q[j], rhs)
         rhs = [x - proj[j] * y for x, y in zip(rhs, q[j])]
@@ -227,26 +233,11 @@ def _least_squares(columns: list[list[float]], vals: list[float]) -> SlopeFit:
     return SlopeFit(coef[0], coef[1], resid)
 
 
-def _fit_line(logs: list[float], vals: list[float]) -> SlopeFit:
-    return _least_squares([logs, [1.0] * len(logs)], vals)
-
-
-def _fit_line_with_transient(logs: list[float], vals: list[float]) -> SlopeFit:
-    """Linear fit with an extra exp(-2 log scale) = 1/scale^2 column.
-
-    Every tracked quantity approaches its linear asymptote with a
-    finite-scale correction decaying like 1/scale^2 (with a slowly
-    varying prefactor), so absorbing that mode removes most of the
-    slope bias the plain fit picks up from moderate scales.
-    """
-    return _least_squares([logs, [1.0] * len(logs), [math.exp(-2.0 * x) for x in logs]], vals)
-
-
 def _sorted_scales(scales: Sequence[float]) -> list[float]:
-    """The scales in increasing order; at least four, spanning a factor of e^2."""
+    """The scales in increasing order; at least four distinct, spanning a factor of e^2."""
     sc = sorted(float(s) for s in scales)
-    if len(sc) < 4:
-        raise ValueError("need at least four scales")
+    if len(set(sc)) < 4:
+        raise ValueError("need at least four scales with no two equal")
     for s in sc:
         _check_scale(s)
     if sc[-1] / sc[0] < math.e**2:
@@ -261,22 +252,21 @@ def fit_slopes(
 ) -> SlopeFitReport:
     """Fit each quantity's growth rate over a set of scales.
 
-    Needs at least four scales spanning a factor of e^2 or more.  A
-    plain linear fit is tried first; if any quantity's residual exceeds
-    DISCARD_TOL relative to max(1, |slope|), the smallest scale is
-    dropped as pre-asymptotic and the rest are refit with a 1/scale^2
-    transient column.  The report records which scales were used.
+    Needs at least four distinct scales spanning a factor of e^2 or more.
+    Each quantity is fit once, over every scale s, on log s, 1, s^-2 and
+    s^-2 log s: expanded in 1/S, S = pi d^2 s^2, these are the leading
+    terms of every closed form in bubble_quantities.  The last two enter
+    as (s0/s)^2 and (s0/s)^2 log(s/s0), s0 the smallest scale, which
+    span the same fits and cannot underflow.
     """
     mv = _coupling_values(m, 2)
     sc = _sorted_scales(scales)
 
     table = [bubble_quantities(s, mv, flat_radius) for s in sc]
-    data = {k: [q[k] for q in table] for k in QUANTITY_KEYS}
     logs = [math.log(s) for s in sc]
-    used = sc
-    fits = {k: _fit_line(logs, v) for k, v in data.items()}
-    worst = max(f.max_residual / max(1.0, abs(f.slope)) for f in fits.values())
-    if worst > DISCARD_TOL:
-        used = sc[1:]
-        fits = {k: _fit_line_with_transient(logs[1:], v[1:]) for k, v in data.items()}
-    return SlopeFitReport(fits, tuple(used), mv)
+    decay = [(sc[0] / s) ** 2 for s in sc]
+    columns = [logs, [1.0] * len(sc), decay, [t * (x - logs[0]) for t, x in zip(decay, logs)]]
+    fits = {k: _least_squares(columns, [q[k] for q in table]) for k in QUANTITY_KEYS}
+    if not all(math.isfinite(x) for f in fits.values() for x in vars(f).values()):
+        raise NumericalError(f"the slope fits overflow at m1 = {mv[0]:g} and m2 = {mv[1]:g}")
+    return SlopeFitReport(fits, mv)

@@ -50,9 +50,10 @@ __all__ = [
 IDENTITY_CSV_HEADER = "identity,parameter,measured,expected,residual,bound,status"
 
 # canonical identity-suite parameters: the shooting values are the
-# subfamily of a2 in [-2, 0.5] whose tails settle by r = 1000
+# subfamily of a2 in [-2, 0.5] whose tails settle by r = 1000, and the
+# slope scales sit where the bubble quantities are asymptotic
 SUITE_A2_VALUES = (-1.5, -1.0, -0.5, 0.0, 0.5)
-SUITE_SCALES = tuple(math.e**k for k in (2, 3, 4, 5))
+SUITE_SCALES = tuple(math.e**k for k in (7, 8, 9, 10))
 SUITE_BALL_RADII = (1.0, 10.0, 100.0)
 # the most couplings per axis of a sweep: its k1 * k2 cells are listed up front
 MAX_GRID_CELLS = 1000
@@ -187,7 +188,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
     ),
     "bubble": (
         Option("m", parse_couplings, "3.0pi,3.0pi", "couplings, pi suffix allowed"),
-        Option("scales", parse_scales, "e2,e3,e4,e5", "profile scales, eK = exp(K)"),
+        Option("scales", parse_scales, "e7,e8,e9,e10", "profile scales, eK = exp(K)"),
         Option("flat-radius", parse_float, "0.25", "truncation radius of the profile"),
     ),
     "radial": (
@@ -571,7 +572,7 @@ def _bubble_identity_rows(m: Sequence[float]) -> list[IdentityRow]:
             else:
                 rel = (fitted - target) / target
                 rows.append(_row("bubble_slope", key, fitted, target, rel, 0.02))
-    except ValueError as exc:
+    except (NumericalError, ValueError) as exc:
         rows.append(_fail_row("bubble_slope", str(exc)))
     return rows
 

@@ -54,6 +54,9 @@ TAIL_FRACTION = 1e-4
 MAX_NODES = 100_000
 # the highest rank whose 2^{N+1} - 2 terms the closed form sums
 MAX_SUBSET_RANK = 12
+# the largest |a0_j| the closed form takes: _terms subtracts log
+# coefficients of size |a0|, so the profile loses about eps |a0|
+MAX_START = 1e5
 
 Rows = tuple[tuple[float, ...], ...]
 # per level k = 1..N, the (log coefficient, exponent of s) of each term of g_k
@@ -148,10 +151,12 @@ def _check_settings(a0: Sequence[float], r_max: float, nodes: int) -> tuple[floa
 def _check_profile_settings(
     a0: Sequence[float], r_max: float, nodes: int
 ) -> tuple[float, ...]:
-    """_check_settings plus the closed form's rank cap; returns a0."""
+    """_check_settings plus the closed form's caps on rank and |a0|; returns a0."""
     start = _check_settings(a0, r_max, nodes)
     if len(start) > MAX_SUBSET_RANK:
         raise ValueError(f"the closed form is limited to rank <= {MAX_SUBSET_RANK}")
+    if max(map(abs, start)) > MAX_START:
+        raise ValueError(f"central values must be at most {MAX_START:g} in magnitude")
     return start
 
 

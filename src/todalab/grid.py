@@ -247,6 +247,15 @@ def _disk_mask(spec: GridSpec, center: tuple[float, float], radius: float) -> np
     return _periodic_dist_sq(spec, center) <= radius * radius
 
 
+@lru_cache(maxsize=None)
+def _disk_symbol(n: int, radius: float) -> np.ndarray:
+    """Spectrum of the disk mask at cell (0, 0) times the cell area 1/n^2 (an
+    exact power of two); real, as the mask is even under o -> -o.  Through
+    _apply_symbol it gives the disk mass around every cell."""
+    mask = _disk_mask(GridSpec(n), (0.0, 0.0), radius)
+    return _read_only(np.fft.rfft2(mask).real / n**2)
+
+
 def disk_mass(rho: ScalarField, center: tuple[float, float], radius: float) -> float:
     """Mass of a nonnegative density inside a periodic disk (masked cell sum)."""
     mask = _disk_mask(rho.spec, center, radius)

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -71,7 +71,8 @@ from .functional import (
 from .grid import (
     GridSpec,
     ScalarField,
-    _disk_mask,
+    _apply_symbol,
+    _disk_symbol,
     _inverse_neg_laplacian,
     _log_integral_exp,
     random_smooth_field,
@@ -320,7 +321,7 @@ def minimize(
     # no disk holds more than its area (the mask spectrum's zero mode, h^2
     # times its cell count) times the peak density; the margin covers the
     # detector's FFT roundoff, so skipping below it changes no decision
-    disk_area = _disk_spectrum(spec.n, config.concentration_radius)[0, 0]
+    disk_area = _disk_symbol(spec.n, config.concentration_radius)[0, 0]
     detector_floor = config.concentration_mass * (1.0 - 1e-12) / disk_area
     step = config.step
     iterations = 0
@@ -433,18 +434,9 @@ def minimize(
     )
 
 
-@lru_cache(maxsize=None)
-def _disk_spectrum(n: int, radius: float) -> np.ndarray:
-    """Spectrum of the disk_mass mask at cell (0, 0) times the cell area 1/n^2
-    (an exact power of two); real, as the mask is even under o -> -o."""
-    mask = _disk_mask(GridSpec(n), (0.0, 0.0), radius)
-    return np.fft.rfft2(mask).real / n**2
-
-
 def _disk_masses(rho: np.ndarray, spec: GridSpec, radius: float) -> np.ndarray:
     """Disk mass around every cell of each density in the stack, by correlation."""
-    spectra = np.fft.rfft2(rho, axes=(-2, -1)) * _disk_spectrum(spec.n, radius)
-    return np.fft.irfft2(spectra, s=spec.shape, axes=(-2, -1))
+    return _apply_symbol(rho, _disk_symbol(spec.n, radius))
 
 
 def _concentration_from_density(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from todalab.bubbles import (
+    MAX_SCALE,
     BubbleParams,
     QUANTITY_KEYS,
     asymptotic_slope_table,
@@ -15,6 +16,7 @@ from todalab.bubbles import (
     fit_slopes,
     standard_bubble,
 )
+from todalab.cartan import NumericalError
 from todalab.closed_form import radial_profile
 from todalab.functional import energy_u
 from todalab.grid import GridSpec
@@ -141,6 +143,11 @@ def test_params_validation():
         BubbleParams(scale=4.0, flat_radius=0.7)
     with pytest.raises(ValueError):
         BubbleParams(scale=np.inf)
+    # the scale rule of the quantities: 1.5 is below it, and past
+    # MAX_SCALE sampling would overflow scale^2
+    for scale in (1.5, 1e200):
+        with pytest.raises(ValueError, match="scale must be"):
+            BubbleParams(scale=scale)
 
 
 def test_sampled_profile_values():
@@ -225,37 +232,47 @@ def test_fitted_slopes_match_asymptotic_table():
             assert abs(got) < 0.05, key
         else:
             assert got == pytest.approx(expected, rel=0.02), key
-    # the smallest scale is pre-asymptotic at this span and gets dropped
-    assert report.used_scales == tuple(scales[1:])
 
 
 def test_fit_keeps_all_scales_when_already_asymptotic():
     m = (3.0 * np.pi, np.pi)
     scales = [np.e**4, np.e**5, np.e**6, np.e**7]
     report = fit_slopes(scales, m)
-    assert report.used_scales == tuple(scales)
     assert report.fits["energy"].slope == pytest.approx(2.0 * np.pi, rel=0.02)
 
 
-def _numpy_fit(used, m, transient):
-    """The fits as np.polyfit and np.linalg.lstsq give them, per quantity."""
-    logs = np.log(used)
+def test_energy_slope_at_the_asymptote_near_threshold():
+    # at the default scales the fit reads the slope 2(4pi - m1) = 0.02 pi
+    # to within 1e-6 even this close to the threshold
+    from todalab.cli import SUITE_SCALES
+
+    scales = [np.e**7, np.e**8, np.e**9, np.e**10]
+    assert SUITE_SCALES == tuple(scales)
+    report = fit_slopes(scales, (3.99 * np.pi, 3.0 * np.pi))
+    assert report.fits["energy"].slope == pytest.approx(0.02 * np.pi, rel=1e-6)
+
+
+def _numpy_fit(scales, m):
+    """The fits as np.linalg.lstsq gives them on the four columns, per quantity."""
+    logs = np.log(scales)
+    decay = np.asarray(scales, dtype=float) ** -2.0
+    basis = np.column_stack([logs, np.ones_like(logs), decay, decay * logs])
     fits = {}
     for key in QUANTITY_KEYS:
-        vals = np.array([bubble_quantities(s, m)[key] for s in used])
-        if not transient:
-            slope, intercept = np.polyfit(logs, vals, 1)
-            fitted = slope * logs + intercept
-        else:
-            basis = np.column_stack([logs, np.ones_like(logs), np.exp(-2.0 * logs)])
-            coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
-            slope, intercept, fitted = coef[0], coef[1], basis @ coef
-        fits[key] = (slope, intercept, np.max(np.abs(vals - fitted)))
+        vals = np.array([bubble_quantities(s, m)[key] for s in scales])
+        coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
+        fits[key] = (coef[0], coef[1], np.max(np.abs(vals - basis @ coef)))
     return fits
 
 
 @pytest.mark.parametrize(
-    "scales", [[np.e**k for k in (2, 3, 4, 5)], [np.e**k for k in (4, 5, 6, 7)]]
+    "scales",
+    [
+        [np.e**k for k in (2, 3, 4, 5)],
+        [np.e**k for k in (4, 5, 6, 7)],
+        [np.e**k for k in (7, 8, 9, 10)],
+        [np.e**k for k in (2, 3, 4, 5, 6, 7)],
+    ],
 )
 def test_fits_match_numpy_least_squares(scales):
     # the pure-Python fits against numpy's, with tolerances fixed up front;
@@ -263,20 +280,11 @@ def test_fits_match_numpy_least_squares(scales):
     for m1 in np.linspace(2.0, 3.8, 10) * np.pi:
         m = (m1, 3.0 * np.pi)
         report = fit_slopes(scales, m)
-        transient = len(report.used_scales) < len(scales)
-        reference = _numpy_fit(report.used_scales, m, transient)
-        for key, (slope, intercept, residual) in reference.items():
+        for key, (slope, intercept, residual) in _numpy_fit(scales, m).items():
             fit = report.fits[key]
             assert fit.slope == pytest.approx(slope, rel=1e-12, abs=1e-12), key
             assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=1e-12), key
             assert abs(fit.max_residual - residual) <= 1e-12, key
-
-
-def test_default_scales_drop_the_smallest():
-    from todalab.cli import SUITE_SCALES
-
-    report = fit_slopes(SUITE_SCALES, (3.0 * np.pi, 3.0 * np.pi))
-    assert report.used_scales == tuple(sorted(SUITE_SCALES)[-3:])
 
 
 def test_energy_slope_flips_sign_at_threshold():
@@ -288,10 +296,11 @@ def test_energy_slope_flips_sign_at_threshold():
 
 
 def test_fit_discards_preasymptotic_scale():
+    # the pre-asymptotic scale 2 stays in the fit: its scale^-2 columns
+    # absorb the transient
     m = (3.0 * np.pi, np.pi)
     scales = [2.0, np.e**2, np.e**3, np.e**4, np.e**5]
     report = fit_slopes(scales, m)
-    assert report.used_scales == tuple(sorted(scales)[1:])
     assert report.fits["grad1_sq"].slope == pytest.approx(32.0 * np.pi, rel=0.02)
     assert report.fits["energy"].slope == pytest.approx(2.0 * np.pi, rel=0.02)
 
@@ -300,8 +309,30 @@ def test_fit_slopes_validation():
     m = (np.pi, np.pi)
     with pytest.raises(ValueError, match="four scales"):
         fit_slopes([4.0, 8.0, 16.0], m)
+    # four columns need four distinct scales
+    with pytest.raises(ValueError, match="no two equal"):
+        fit_slopes([4.0, 4.0, 16.0, 64.0], m)
     with pytest.raises(ValueError, match="factor"):
         fit_slopes([4.0, 5.0, 6.0, 7.0], m)
+    with pytest.raises(ValueError, match="scale must be at most 1e\\+150"):
+        fit_slopes([4.0, 8.0, 16.0, 1e151], m)
+    # distinct, but one ulp apart: the columns are dependent in float64
+    close = [10.0, np.nextafter(10.0, 11.0), np.nextafter(np.nextafter(10.0, 11.0), 11.0)]
+    with pytest.raises(NumericalError, match="too close together"):
+        fit_slopes(close + [1000.0], m)
+    # 2(4pi - m1) and the energies overflow
+    with pytest.raises(NumericalError, match="overflow at m1 = 1e\\+308 and m2 = 3.14159"):
+        fit_slopes([4.0, 8.0, 16.0, 64.0], (1e308, np.pi))
+
+
+def test_largest_scale_keeps_every_quantity_finite():
+    # up to MAX_SCALE no quantity overflows, at any truncation radius
+    # (scale^2 itself overflows past about 1.3e154)
+    for flat_radius in (1e-300, 1e-100, 0.01, 0.25, 0.5):
+        values = bubble_quantities(MAX_SCALE, (3.0 * np.pi, np.pi), flat_radius)
+        assert all(np.isfinite(v) for v in values.values()), flat_radius
+    report = fit_slopes([1e140, 1e145, 1e148, MAX_SCALE], (3.0 * np.pi, np.pi))
+    assert report.fits["energy"].slope == pytest.approx(2.0 * np.pi, rel=1e-9)
 
 
 # The planar Liouville bubble phi = -2 log(1 + pi r^2) solves

@@ -225,14 +225,24 @@ def test_overflowing_radial_start_is_a_one_line_numerical_failure(tmp_path, capf
 
 
 def test_radial_start_past_the_float_range_is_a_one_line_numerical_failure(tmp_path, capfd):
-    # A^-1 a0 overflows, so the closed form's coefficients are not finite
-    code, _ = run(tmp_path, "radial", "--a0=-1.7e308,1")
+    # the first node is subnormal (5e-324), so u' = (r u') / r overflows
+    code, _ = run(tmp_path, "radial", "--a0=1483,0")
     assert code == 1
     err = capfd.readouterr().err
     assert err == (
         "numerical failure: the closed form leaves the float range"
-        " at central values -1.7e+308,1\n"
+        " at central values 1483,0\n"
     )
+
+
+def test_bubble_at_the_float_maximum_is_a_one_line_numerical_failure(tmp_path, capfd):
+    # 2(4pi - m1) overflows and the energies become inf - inf
+    code, out = run(tmp_path, "bubble", "--m", "1e308,3pi")
+    assert code == 1
+    err = capfd.readouterr().err
+    assert err == "numerical failure: the slope fits overflow at m1 = 1e+308 and m2 = 9.42478\n"
+    assert not (out / "slopes.csv").exists()
+    assert (out / "manifest.json").exists()
 
 
 def test_radial_start_at_709_evaluates_in_log_space(tmp_path):
@@ -312,6 +322,10 @@ def test_uncreatable_output_directory_exits_2(tmp_path, capsys, monkeypatch):
         (("radial", "--a0", "nan,0"), "initial values must be a finite vector"),
         (("radial", "--a0", ",".join(["0"] * 13)), "the closed form is limited to rank <= 12"),
         (("radial", "--nodes", "100001"), "nodes must be at most 100000"),
+        (("bubble", "--scales", "e2,e3,e4,e355"), "scale must be at most 1e+150"),
+        (("bubble", "--scales", "2,3,4,1e160"), "scale must be at most 1e+150"),
+        (("radial", "--a0=-1e16,0"), "central values must be at most 100000 in magnitude"),
+        (("radial", "--a0=-1.7e308,1"), "central values must be at most 100000 in magnitude"),
     ],
 )
 def test_bad_settings_exit_2_before_compute(tmp_path, capsys, args, message):
@@ -490,6 +504,10 @@ def test_bad_bubble_couplings_are_one_failed_row():
     (row,) = emit_identity_suite(only="bubble", m=(0.0, 1.0))
     assert row.identity == "bubble_slope"
     assert row.parameter == "error: couplings must be positive and finite"
+    assert row.status == "FAIL"
+    # so is a fit that overflows, and its message keeps the row's columns
+    (row,) = emit_identity_suite(only="bubble", m=(1e308, 3.0 * PI))
+    assert row.parameter == "error: the slope fits overflow at m1 = 1e+308 and m2 = 9.42478"
     assert row.status == "FAIL"
 
 

@@ -25,6 +25,7 @@ from todalab.grid import (
     GridSpec,
     ScalarField,
     _centered,
+    _disk_symbol,
     _inverse_neg_laplacian,
     _neg_laplacian,
     _periodic_dist_sq,
@@ -646,6 +647,8 @@ def test_fft_disk_masses_match_roll_loop_and_disk_mass(n, radius, seed, spread):
     density /= density.sum(axis=(1, 2), keepdims=True) * spec.h**2
     masses = _disk_masses(density, spec, radius)
     spots = _concentration_from_density(density, spec, radius)
+    # the cached symbol is shared by every later decision, so it is read-only
+    assert _disk_symbol(n, radius).flags.writeable is False
     for comp, fft_masses, spot in zip(density, masses, spots):
         field = ScalarField(spec, comp)
         brute = np.array(

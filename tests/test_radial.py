@@ -10,7 +10,13 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import solve_ivp
 
 from todalab.cartan import NumericalError, cartan_su
-from todalab.closed_form import MAX_NODES, _check_settings, _node_grid, radial_profile
+from todalab.closed_form import (
+    MAX_NODES,
+    MAX_START,
+    _check_settings,
+    _node_grid,
+    radial_profile,
+)
 from todalab.radial import (
     BlowUpError,
     _series_radius,
@@ -395,6 +401,21 @@ def test_integrate_validations():
     for build in (integrate_radial, radial_profile):
         with pytest.raises(ValueError, match="nodes must be an integer"):
             build((0.0, 0.0), nodes=100.5)
+
+
+def test_closed_form_caps_central_values():
+    # _terms loses about eps |a0|: at the cap the closed form still agrees
+    # with the integrator to its own level, 1.4e-9 in alpha
+    for a0 in ((-MAX_START, 0.0), (0.0, -MAX_START)):
+        exact = radial_profile(a0)
+        sol = integrate_radial(a0, tol=1e-10)
+        assert np.max(np.abs(np.asarray(sol.alpha) - np.asarray(exact.alpha))) < 1e-8
+    above = np.nextafter(MAX_START, np.inf)
+    for a0 in ((-1e16, 0.0), (0.0, -above), (above, 0.0)):
+        with pytest.raises(ValueError, match="central values must be at most 100000"):
+            radial_profile(a0)
+    # the integrator keeps its own rules
+    assert _check_settings((-1e16, 0.0), 1000.0, 600) == (-1e16, 0.0)
 
 
 def test_node_count_is_capped_before_anything_is_built():
