@@ -207,7 +207,8 @@ def _least_squares(columns: list[list[float]], vals: list[float]) -> SlopeFit:
 
     A thin QR factorization by modified Gram-Schmidt, then back
     substitution; returns the first two coefficients and the largest
-    absolute residual, or raises NumericalError on dependent columns.
+    absolute residual, or raises NumericalError on dependent or nearly
+    dependent columns (a pivot at most 1e-12 of its column's norm).
     """
     q = [list(c) for c in columns]
     rhs = list(vals)
@@ -215,11 +216,12 @@ def _least_squares(columns: list[list[float]], vals: list[float]) -> SlopeFit:
     r = [[0.0] * n for _ in range(n)]
     proj = [0.0] * n
     for j in range(n):
+        norm = math.sqrt(_dot(q[j], q[j]))
         for i in range(j):
             r[i][j] = _dot(q[i], q[j])
             q[j] = [x - r[i][j] * y for x, y in zip(q[j], q[i])]
         r[j][j] = math.sqrt(_dot(q[j], q[j]))
-        if r[j][j] == 0.0:
+        if r[j][j] <= 1e-12 * norm:
             raise NumericalError("the scales lie too close together to determine the fit")
         q[j] = [x / r[j][j] for x in q[j]]
         proj[j] = _dot(q[j], rhs)

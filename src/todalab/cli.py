@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Sequence
 
 from . import _EXPORTS, __version__, _lazy_getattr
@@ -425,8 +425,7 @@ def _run_bubble(config: RunConfig) -> int:
         os.path.join(config.out, "slopes.csv"),
         "quantity,fitted_slope,expected_slope,intercept,max_residual",
         (
-            f"{key},{fits[key].slope:.12g},{expected[key]:.12g},"
-            f"{fits[key].intercept:.12g},{fits[key].max_residual:.12g}"
+            (key, fits[key].slope, expected[key], fits[key].intercept, fits[key].max_residual)
             for key in QUANTITY_KEYS
         ),
     )
@@ -597,26 +596,14 @@ def emit_identity_suite(
     return tuple(rows)
 
 
-def write_identity_csv(rows: Sequence[IdentityRow], destination) -> None:
-    write_csv(
-        destination,
-        IDENTITY_CSV_HEADER,
-        (
-            f"{row.identity},{row.parameter},{row.measured:.12g},"
-            f"{row.expected:.12g},{row.residual:.12g},{row.bound:.12g},"
-            f"{row.status}"
-            for row in rows
-        ),
-    )
-
-
 def _run_identities(config: RunConfig) -> int:
     rows = emit_identity_suite(
         only=config.values["only"],
         corrupt_cartan=config.values["corrupt_cartan"],
         m=config.couplings,
     )
-    write_identity_csv(rows, os.path.join(config.out, "identities.csv"))
+    path = os.path.join(config.out, "identities.csv")
+    write_csv(path, IDENTITY_CSV_HEADER, map(astuple, rows))
     return 0 if all(row.status == "PASS" for row in rows) else 1
 
 

@@ -323,8 +323,5 @@ def write_solution_csv(sol: RadialProfile, destination) -> None:
     write_csv(
         destination,
         ",".join(["r"] + names),
-        (
-            ",".join(f"{x:.12g}" for x in row)
-            for row in zip(sol.r_nodes, *sol.u, *sol.du, *sol.alpha)
-        ),
+        zip(sol.r_nodes, *sol.u, *sol.du, *sol.alpha),
     )

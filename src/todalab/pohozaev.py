@@ -20,7 +20,7 @@ fluctuation part touches the cell mask, keeping constant fields exact.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -203,14 +203,4 @@ def radius_scan(
 
 def write_balance_csv(rows: Sequence[DiskBalance], destination) -> None:
     """Write one balance per line as CSV to a path or text file object."""
-    write_csv(
-        destination,
-        BALANCE_CSV_HEADER,
-        (
-            f"{b.center[0]:.12g},{b.center[1]:.12g},{b.r:.12g},"
-            f"{b.lhs:.12g},{b.rhs:.12g},{b.residual:.12g},"
-            f"{b.boundary_stress:.12g},{b.boundary_exp:.12g},"
-            f"{b.boundary_linear:.12g},{b.volume_linear:.12g}"
-            for b in rows
-        ),
-    )
+    write_csv(destination, BALANCE_CSV_HEADER, ((*b.center, *astuple(b)[1:]) for b in rows))

@@ -305,6 +305,16 @@ def test_fit_discards_preasymptotic_scale():
     assert report.fits["energy"].slope == pytest.approx(2.0 * np.pi, rel=0.02)
 
 
+def test_fit_takes_scales_a_millionth_apart():
+    # the smallest pivot is 8.8e-11 of its column's norm, well above the
+    # 1e-12 rejection line, and the slopes still hold to 1e-3
+    m = (3.0 * np.pi, 3.0 * np.pi)
+    report = fit_slopes([20.0, 20.00002, 20.00004, 400.0], m)
+    expected = asymptotic_slope_table(m)
+    for key in ("energy", "grad1_sq"):
+        assert report.fits[key].slope == pytest.approx(expected[key], rel=1e-3)
+
+
 def test_fit_slopes_validation():
     m = (np.pi, np.pi)
     with pytest.raises(ValueError, match="four scales"):
@@ -320,6 +330,11 @@ def test_fit_slopes_validation():
     close = [10.0, np.nextafter(10.0, 11.0), np.nextafter(np.nextafter(10.0, 11.0), 11.0)]
     with pytest.raises(NumericalError, match="too close together"):
         fit_slopes(close + [1000.0], m)
+    # three scales 1e-8 apart: the last pivot is 6.3e-14 of its column's
+    # norm, and the fit read the energy slope 37% off before it was rejected
+    clustered = [20.0, 20.0000002, 20.0000004, 400.0]
+    with pytest.raises(NumericalError, match="too close together"):
+        fit_slopes(clustered, (3.0 * np.pi, 3.0 * np.pi))
     # 2(4pi - m1) and the energies overflow
     with pytest.raises(NumericalError, match="overflow at m1 = 1e\\+308 and m2 = 3.14159"):
         fit_slopes([4.0, 8.0, 16.0, 64.0], (1e308, np.pi))

@@ -245,6 +245,30 @@ def test_bubble_at_the_float_maximum_is_a_one_line_numerical_failure(tmp_path, c
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "args, data, message",
+    [
+        # past a coupling of about 1e154 the gradient's square overflows
+        (("minimize", "--m", "1e155,3pi", "--n", "16"), "report.json",
+         "non-finite gradient norm at iteration 0"),
+        (("sweep", "--m-grid", "1x2", "--range", "3pi:1e200", "--n", "8"), "region.csv",
+         "non-finite gradient norm at iteration 0"),
+        (("pohozaev", "--m", "1e155,3pi", "--n", "16", "--radii", "0.3"), "balance.csv",
+         "non-finite gradient norm at iteration 0"),
+        # three scales 1e-8 apart leave the slope fit undetermined
+        (("bubble", "--scales", "20,20.0000002,20.0000004,400"), "slopes.csv",
+         "the scales lie too close together to determine the fit"),
+    ],
+)
+def test_undetermined_runs_are_one_line_numerical_failures(tmp_path, capfd, args, data, message):
+    code, out = run(tmp_path, *args)
+    assert code == 1
+    assert capfd.readouterr().err == f"numerical failure: {message}\n"
+    assert not (out / data).exists()
+    assert (out / "manifest.json").exists()
+
+
 def test_radial_start_at_709_evaluates_in_log_space(tmp_path):
     # e^{709} is near the top of the float range; the closed form never forms it
     code, out = run(tmp_path, "radial", "--a0=709,0")
