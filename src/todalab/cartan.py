@@ -1,7 +1,7 @@
-"""Coupling matrix of the two-component system and its relatives.
+"""Coupling matrix of the rank-N (SU(N+1)) Toda system and its relatives.
 
-The interaction between components is encoded by the tridiagonal matrix
-with 2 on the diagonal and -1 off it (rank N version).  Its inverse has
+The interaction between the N components is encoded by the tridiagonal
+N x N matrix with 2 on the diagonal and -1 off it.  Its inverse has
 the closed form inv[i, j] = min(i, j) * (N + 1 - max(i, j)) / (N + 1)
 with 1-based indices, which cartan_su_inverse evaluates directly.  Both
 are plain arrays, built once per rank from the nested tuples of
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from numbers import Real
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,13 +90,21 @@ def cartan_su_inverse(rank: int) -> np.ndarray:
     return _read_only(_inverse_rows(rank))
 
 
-def _coupling_values(m: Sequence[float], rank: int) -> tuple[float, ...]:
-    """The couplings as floats: rank of them, each positive and finite."""
+def _coupling_values(m: Sequence[float], rank: Optional[int] = None) -> tuple[float, ...]:
+    """The couplings as floats: at least one, each positive and finite.
+
+    A given rank must equal their number; without one, their number is
+    the rank.
+    """
     try:
         values = list(m)
-    except TypeError:
-        values = []
-    if len(values) != rank or not all(isinstance(v, Real) for v in values):
+    except TypeError:  # a bare number
+        values = None
+    if values is None or not all(isinstance(v, Real) for v in values):
+        raise ValueError("couplings must be a sequence of numbers")
+    if not values:
+        raise ValueError("coupling vector must be nonempty")
+    if rank is not None and len(values) != rank:
         raise ValueError("coupling vector length does not match rank")
     out = tuple(float(v) for v in values)
     if not all(v > 0 and math.isfinite(v) for v in out):
@@ -104,7 +112,7 @@ def _coupling_values(m: Sequence[float], rank: int) -> tuple[float, ...]:
     return out
 
 
-def _check_couplings(m: Sequence[float], rank: int) -> np.ndarray:
+def _check_couplings(m: Sequence[float], rank: Optional[int] = None) -> np.ndarray:
     """_coupling_values(m, rank) as a float64 array."""
     import numpy as np
 
@@ -117,10 +125,4 @@ def lower_bound_condition(m: Sequence[float]) -> bool:
     This is the paper's threshold: the functional is bounded below exactly
     when every M_j <= 4 pi.
     """
-    try:
-        rank = len(m)
-    except TypeError:  # a bare number, which _coupling_values rejects
-        rank = 1
-    if rank == 0:
-        raise ValueError("coupling vector must be nonempty")
-    return all(v <= FOUR_PI for v in _coupling_values(m, rank))
+    return all(v <= FOUR_PI for v in _coupling_values(m))

@@ -314,7 +314,7 @@ def _precheck(config: RunConfig) -> None:
         GridSpec(config.n)
         _minimize_config(config)
     if config.command in ("minimize", "pohozaev"):
-        _coupling_values(config.couplings, len(config.couplings))
+        _coupling_values(config.couplings)
     if config.command == "sweep":
         # the range ends are the sweep's extreme couplings
         _coupling_values(config.values["range"], 2)

@@ -57,7 +57,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .cartan import NumericalError, _check_couplings, cartan_su
+from .cartan import NumericalError, _check_couplings, _coupling_values, cartan_su
 from ._csv import write_csv
 from .functional import (
     MultiField,
@@ -290,9 +290,9 @@ def minimize(
     output); otherwise Budget.
     """
     config = config or MinimizeConfig()
-    rank = len(m)
+    mv = _check_couplings(m)
+    rank = len(mv)
     amat = cartan_su(rank)
-    mv = _check_couplings(m, rank)
     cell_area = spec.h * spec.h
 
     if init is None:
@@ -505,6 +505,7 @@ def _classify(
     """
     config = config or MinimizeConfig()
     relaxed = set() if relaxed is None else relaxed
+    m = _coupling_values(m)
     if len(m) != 2:
         raise ValueError("classification seeds are defined for two components")
     # the flat field is an exact critical point, so its descent ends Converged
@@ -593,6 +594,7 @@ def sweep(
 ) -> tuple[SweepRow, ...]:
     """Classify each coupling pair; rows keep the input order.
 
+    Every cell is checked as a pair of couplings before any descent runs.
     The cells fall into mirror orbits {(m1, m2), (m2, m1)} by exact float
     equality; a diagonal, unpaired or repeated cell joins the orbit of its
     smaller ordering.  Within an orbit a bubble-seeded descent whose mirror
@@ -608,10 +610,11 @@ def sweep(
     """
     if len(couplings) == 0:
         raise ValueError("empty coupling list")
+    cells = [_coupling_values(cell, 2) for cell in couplings]
     orbits: dict[tuple, list[int]] = {}
-    for index, (m1, m2) in enumerate(couplings):
+    for index, (m1, m2) in enumerate(cells):
         orbits.setdefault(min((m1, m2), (m2, m1)), []).append(index)
-    tasks = [[couplings[i] for i in members] for members in orbits.values()]
+    tasks = [[cells[i] for i in members] for members in orbits.values()]
     run = partial(_sweep_orbit, spec=spec, config=config)
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers == 1:

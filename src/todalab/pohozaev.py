@@ -12,10 +12,16 @@ integrating over a disk B of radius r yields the exact balance
         - sum_i m_i r oint u_i
         + 2 sum_i m_i int_B u_i,
 
-so the residual of a computed state measures how far it is from
-criticality (plus quadrature error).  Volume integrals split off the
-torus mean, which is integrated over the exact disk area; only the
-fluctuation part touches the cell mask, keeping constant fields exact.
+evaluated with bilinear boundary samples and cell-mask volume sums.
+Volume integrals split off the torus mean, which is integrated over the
+exact disk area; only the fluctuation part touches the cell mask.  So
+on a flat state the balance is exact (residual below 1e-12), and on a
+non-flat critical point the residual is the quadrature error of the two
+rules.  At center (0.5, 0.5) and r = 0.1, 0.2, 0.3 it reads 4.8e-5 to
+4.8e-4 for the rank-2 stripe at (4.2 pi)^2 at n = 64 (lhs 1.7 to 15), and
+-1.8e-3 to 5.2e-2 for the (3.9 pi)^3 minimizer at n = 64 (8.9e-4 to
+9.3e-3 at n = 128).  A small residual is what a critical point must
+show; it does not certify one.
 """
 
 from __future__ import annotations
@@ -28,14 +34,9 @@ import numpy as np
 from .cartan import _check_couplings, cartan_su_inverse
 from ._csv import write_csv
 from .functional import MultiField, _require_normalized
-from .grid import _disk_mask, _spatial_gradient
+from .grid import _periodic_dist_sq, _spatial_gradient
 
-__all__ = [
-    "DiskBalance",
-    "disk_balance",
-    "radius_scan",
-    "write_balance_csv",
-]
+__all__ = ["DiskBalance", "disk_balance", "radius_scan", "write_balance_csv"]
 
 MAX_RESOLVED_GRADIENT = 1.0
 
@@ -62,8 +63,13 @@ class DiskBalance:
 
 
 def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Periodic bilinear interpolation at points given in torus coordinates."""
-    n = values.shape[0]
+    """Periodic bilinear interpolation of every (n, n) slice of a stack.
+
+    The points are given in torus coordinates; the result holds one
+    C-contiguous row of samples per slice, so a row sum adds in the same
+    order as the sum of that slice's samples alone.
+    """
+    n = values.shape[-1]
     gx = x * n
     gy = y * n
     i0 = np.floor(gx).astype(int) % n
@@ -72,56 +78,53 @@ def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ty = gy - np.floor(gy)
     i1 = (i0 + 1) % n
     j1 = (j0 + 1) % n
-    return (
-        (1 - tx) * (1 - ty) * values[i0, j0]
-        + tx * (1 - ty) * values[i1, j0]
-        + (1 - tx) * ty * values[i0, j1]
-        + tx * ty * values[i1, j1]
+    return np.ascontiguousarray(
+        (1 - tx) * (1 - ty) * values[..., i0, j0]
+        + tx * (1 - ty) * values[..., i1, j0]
+        + (1 - tx) * ty * values[..., i0, j1]
+        + tx * ty * values[..., i1, j1]
     )
 
 
-def _disk_integral(values: np.ndarray, mask: np.ndarray, area: float, r: float) -> float:
-    """Mean-split quadrature: exact disk area for the mean, cells for the rest."""
-    mean = float(values.mean())
-    fluct = float(values[mask].sum() - mean * mask.sum()) * area
-    return mean * np.pi * r * r + fluct
+def _disk_integral(values: np.ndarray, mask: np.ndarray, area: float, r: float) -> np.ndarray:
+    """Mean-split quadrature of every slice of a stack: exact disk area for
+    the mean, the cells of the mask for the rest."""
+    mean = values.mean(axis=(-2, -1))
+    inside = np.ascontiguousarray(values[:, mask]).sum(axis=-1)
+    return mean * np.pi * r * r + (inside - mean * mask.sum()) * area
 
 
 def _check_disks(radii: Sequence[float], center: tuple[float, float], h: float) -> None:
     """The disk rules of disk_balance: every r in [4h, 0.4], center in the torus."""
-    for r in radii:
-        if not 4 * h <= r <= 0.4:
-            raise ValueError("r must lie in [4h, 0.4]")
+    if not all(4 * h <= r <= 0.4 for r in radii):
+        raise ValueError("r must lie in [4h, 0.4]")
     cx, cy = center
     if not (0 <= cx < 1 and 0 <= cy < 1):
         raise ValueError("center must lie in the unit torus")
 
 
 def disk_balance(
-    u: MultiField,
-    m: Sequence[float],
-    center: tuple[float, float],
-    r: float,
+    u: MultiField, m: Sequence[float], center: tuple[float, float], r: float
 ) -> DiskBalance:
     """Evaluate both sides of the disk identity for a normalized state.
 
     The left side is twice the coupling-weighted exponential mass of the
     disk; the right side collects the boundary stress, the boundary
-    exponential and linear terms, and the volume linear term.  A zero
-    residual (up to quadrature error) certifies local criticality.
+    exponential and linear terms, and the volume linear term.  The
+    residual is exact on flat states and quadrature error on non-flat
+    critical points (see the module docstring).
     """
     return radius_scan(u, m, center, (r,))[0]
 
 
 def radius_scan(
-    u: MultiField,
-    m: Sequence[float],
-    center: tuple[float, float],
-    radii: Sequence[float],
+    u: MultiField, m: Sequence[float], center: tuple[float, float], radii: Sequence[float]
 ) -> tuple[DiskBalance, ...]:
     """Evaluate the balance on a family of concentric disks.
 
-    The checks and the state's gradient run once for the whole family.
+    The checks, the state's gradient, exp(u) and the distance grid of the
+    disk cells are computed once for the family; each disk samples u and
+    its gradient in one call and integrates exp(u) and u in another.
     """
     if len(radii) == 0:
         raise ValueError("radii must be non-empty")
@@ -133,57 +136,37 @@ def radius_scan(
     stacked = u.stack()
     _require_normalized(stacked)
     gx, gy = _spatial_gradient(stacked)
-    steepest = float(np.max(np.hypot(gx, gy)))
-    if steepest * h > MAX_RESOLVED_GRADIENT:
+    if float(np.max(np.hypot(gx, gy))) * h > MAX_RESOLVED_GRADIENT:
         raise ValueError("refine grid")
 
     cx, cy = center
     cell = h * h
     kinv = cartan_su_inverse(rank)
+    # every field the disks read, each sampled or measured once per disk
+    boundary_fields = np.concatenate((stacked, gx, gy))
+    volume_fields = np.concatenate((np.exp(stacked), stacked))
+    dist_sq = _periodic_dist_sq(u.spec, center)
     balances = []
     for r in radii:
         # boundary sampling: dense enough that the trapezoid rule resolves
         # every grid cell the circle crosses
         npts = 4 * int(np.ceil(2 * np.pi * r / h))
         theta = 2 * np.pi * np.arange(npts) / npts
-        nx = np.cos(theta)
-        ny = np.sin(theta)
-        bx = (cx + r * nx) % 1.0
-        by = (cy + r * ny) % 1.0
+        nx, ny = np.cos(theta), np.sin(theta)
+        bx, by = (cx + r * nx) % 1.0, (cy + r * ny) % 1.0
         ds = 2 * np.pi * r / npts
-
-        u_b = [_bilinear(comp, bx, by) for comp in stacked]
-        gx_b = [_bilinear(comp, bx, by) for comp in gx]
-        gy_b = [_bilinear(comp, bx, by) for comp in gy]
-        dn = [gx_b[i] * nx + gy_b[i] * ny for i in range(rank)]
-
-        stress = 0.0
-        for i in range(rank):
-            for j in range(rank):
-                dot = gx_b[i] * gx_b[j] + gy_b[i] * gy_b[j]
-                stress += kinv[i, j] * float(np.sum(dn[i] * dn[j] - 0.5 * dot))
-        boundary_stress = r * stress * ds
-
-        boundary_exp = float(
-            sum(mv[i] * r * np.sum(np.exp(u_b[i])) * ds for i in range(rank))
-        )
-        boundary_linear = float(
-            sum(mv[i] * r * np.sum(u_b[i]) * ds for i in range(rank))
-        )
-
-        mask = _disk_mask(u.spec, center, r)
-        volume_exp = sum(
-            mv[i] * _disk_integral(np.exp(stacked[i]), mask, cell, r)
-            for i in range(rank)
-        )
-        volume_linear = float(
-            sum(
-                mv[i] * _disk_integral(stacked[i], mask, cell, r)
-                for i in range(rank)
-            )
-        )
-
-        lhs = 2.0 * float(volume_exp)
+        u_b, gx_b, gy_b = _bilinear(boundary_fields, bx, by).reshape(3, rank, npts)
+        dn = gx_b * nx + gy_b * ny
+        # the stress of every pair (i, j), summed along the circle
+        dot = gx_b[:, None] * gx_b[None] + gy_b[:, None] * gy_b[None]
+        pairs = (dn[:, None] * dn[None] - 0.5 * dot).sum(axis=-1)
+        # builtin sum adds the pair and component totals one at a time, in index order
+        boundary_stress = r * sum((kinv * pairs).flat) * ds
+        boundary_exp = float(sum(mv * r * np.exp(u_b).sum(axis=-1) * ds))
+        boundary_linear = float(sum(mv * r * u_b.sum(axis=-1) * ds))
+        volume = mv * _disk_integral(volume_fields, dist_sq <= r * r, cell, r).reshape(2, rank)
+        volume_linear = float(sum(volume[1]))
+        lhs = 2.0 * float(sum(volume[0]))
         rhs = boundary_stress + boundary_exp - boundary_linear + 2.0 * volume_linear
         balances.append(
             DiskBalance(

@@ -59,3 +59,34 @@ def test_threshold_condition_boundary():
     for bad in ([np.nan, PI], [np.inf, PI], [], [0.0, PI]):
         with pytest.raises(ValueError):
             lower_bound_condition(bad)
+
+
+def test_a_bare_number_where_a_vector_belongs_is_a_value_error():
+    # one coupling check serves every entry point, so a bare number, a
+    # short cell or a non-number reads the same ValueError everywhere
+    from todalab.closed_form import radial_profile
+    from todalab.functional import MultiField, energy
+    from todalab.grid import GridSpec
+    from todalab.minimizer import classify_boundedness, minimize, sweep
+    from todalab.pohozaev import radius_scan
+
+    spec = GridSpec(16)
+    flat = MultiField.zeros(spec, 1)
+    numbers = "couplings must be a sequence of numbers"
+    cases = [
+        (lambda: lower_bound_condition(3.0), numbers),
+        (lambda: minimize(3.0, spec), numbers),
+        (lambda: classify_boundedness(3.0, spec), numbers),
+        (lambda: classify_boundedness((PI, PI, PI), spec), "two components"),
+        (lambda: sweep([3.0], spec), numbers),
+        (lambda: sweep([(3.0,)], spec), "does not match rank"),
+        (lambda: sweep([(3.0, "a")], spec), numbers),
+        (lambda: energy(flat, 3.0), numbers),
+        (lambda: radius_scan(flat, 3.0, (0.5, 0.5), (0.3,)), numbers),
+        (lambda: radial_profile(0.0), "initial values must be a finite vector"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # without a rank the couplings set it: one coupling is rank 1
+    assert minimize((3.0,), spec).final_u.n_components == 1

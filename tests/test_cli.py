@@ -564,6 +564,31 @@ def test_import_and_grid_commands_leave_scipy_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_python_dash_m_todalab_runs_the_cli(tmp_path):
+    # the package's __main__, the entry point every timed benchmark
+    # process starts through
+    src = Path(todalab.__file__).resolve().parents[1]
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "todalab", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    out = tmp_path / "r"
+    done = run("radial", "--r-max", "10", "--nodes", "16", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert (out / "radial.csv").is_file() and (out / "manifest.json").is_file()
+    bad = run("radial", "--no-such-flag", "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 2
+    assert [line for line in bad.stderr.splitlines() if "error:" in line] == [
+        "todalab: error: unrecognized arguments: --no-such-flag"
+    ]
+
+
 def test_commands_load_only_their_modules(tmp_path):
     script = "\n".join([
         "import sys",

@@ -109,6 +109,37 @@ def test_energy_closed_form_single_mode():
     )
 
 
+# each mode e of the flat state: -lap e = lam e, int e = 0, ||e||^2 = 1/2
+FLAT_MODES = (
+    (lambda x, y: np.cos(TWO_PI * x), 4 * PI**2),
+    (lambda x, y: np.sin(TWO_PI * (x + y)), 8 * PI**2),
+    (lambda x, y: np.cos(2 * TWO_PI * x), 16 * PI**2),
+)
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+def test_second_variation_of_the_flat_state_in_closed_form(rank):
+    # v = eps c e with d the top eigenvector of A and c = A^-1 d, so that
+    # u = eps d e and E(v) / eps^2 -> 1/2 ||e||^2 d^T (lam A^-1 - diag(M)) d;
+    # A is built here from its entries, so the oracle shares no code with
+    # the energy kernel.  The couplings sit 1% on either side of
+    # m* = 4 pi^2 / lam_max(A), where the flat state turns into a saddle
+    spec = GridSpec(64)
+    a = 2 * np.eye(rank) - np.eye(rank, k=1) - np.eye(rank, k=-1)
+    lam_a, vecs = np.linalg.eigh(a)
+    d = vecs[:, -1]
+    c = np.linalg.solve(a, d)
+    m_star = 4 * PI**2 / lam_a[-1]
+    for mode, lam in FLAT_MODES:
+        e = sample_function(spec, mode).values
+        for m in (0.99 * m_star, 1.01 * m_star):
+            predicted = 0.25 * d @ (lam * np.linalg.inv(a) - m * np.eye(rank)) @ d
+            for eps in (1e-3, 2e-3):
+                v = MultiField(tuple(ScalarField(spec, eps * ci * e) for ci in c))
+                measured = energy(v, [m] * rank).total / eps**2
+                assert measured == pytest.approx(predicted, rel=1e-4)
+
+
 def test_energy_u_quadratic_coefficients_rank_two():
     # in the u-form the three gradient pairings enter with weight 1/3 each
     spec = GridSpec(64)

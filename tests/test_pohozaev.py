@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from todalab.bubbles import BubbleParams, standard_bubble
+from todalab.cartan import cartan_su
 from todalab.functional import MultiField
 from todalab.grid import GridSpec, ScalarField, log_integral_exp
 import todalab.pohozaev as pohozaev
@@ -38,6 +39,23 @@ def wave_state(spec, eps, signs=(1.0, -0.7)):
 def normalized_bubble(spec, scale):
     seed = standard_bubble(BubbleParams(scale=scale), spec, allow_unresolved=True)
     return normalized(spec, [f.values for f in seed.components])
+
+
+def stripe_start(spec, rank, eps):
+    """v = eps c cos 2 pi x, with d the top eigenvector of A and c = A^-1 d."""
+    a = cartan_su(rank)
+    d = np.linalg.eigh(a)[1][:, -1]
+    c = np.linalg.solve(a, d)
+    x = np.arange(spec.n) / spec.n
+    mode = np.broadcast_to(np.cos(2 * PI * x)[:, None], spec.shape)
+    return MultiField(tuple(ScalarField(spec, eps * ci * mode) for ci in c))
+
+
+def assert_non_flat_critical(report, max_abs, energy):
+    assert report.status == "Converged"
+    assert max(report.el_residuals) < 10 * MinimizeConfig().grad_tol
+    assert np.max(np.abs(report.final_u.stack())) > max_abs
+    assert report.energy_trace[-1] < energy
 
 
 def test_flat_state_balances_exactly():
@@ -81,6 +99,31 @@ def test_rank_three_converged_state_balances():
         # the state is flat to about 1e-6, so each disk holds mass pi r^2
         assert b.lhs == pytest.approx(2 * sum(m) * PI * b.r**2, rel=1e-5)
         assert abs(b.residual) < 1e-6
+
+
+@pytest.mark.parametrize("n", (64, 128))
+def test_rank_two_stripe_critical_point_balances(n):
+    # just past m*_2 = 4.1888 pi the flat state is a saddle, and the stripe
+    # start converges to a non-flat critical point (E = -2.07e-4, max|u| =
+    # 0.159); there the mean split is not exact, and the residual is the
+    # quadrature error: at most 3.7e-5 of lhs over these disks
+    m = (4.2 * PI, 4.2 * PI)
+    report = minimize(m, GridSpec(n), init=stripe_start(GridSpec(n), 2, 1e-2))
+    assert_non_flat_critical(report, max_abs=0.1, energy=-1e-4)
+    for b in radius_scan(report.final_u, m, (0.5, 0.5), (0.1, 0.2, 0.3)):
+        assert abs(b.residual) / b.lhs < 1e-4
+
+
+@pytest.mark.parametrize("n", (64, 128))
+def test_rank_three_minimizer_balances_to_quadrature_error(n):
+    # past m*_3 = 3.6806 pi the minimizer at (3.9 pi)^3 is a 2-D pattern
+    # (E = -0.582207, max|u| = 3.61); the residual is quadrature error, at
+    # most 6.9e-3 of lhs over these disks
+    m = (3.9 * PI, 3.9 * PI, 3.9 * PI)
+    report = minimize(m, GridSpec(n), config=MinimizeConfig(seed=0))
+    assert_non_flat_critical(report, max_abs=3.0, energy=-0.5)
+    for b in radius_scan(report.final_u, m, (0.5, 0.5), (0.1, 0.2, 0.3)):
+        assert abs(b.residual) / b.lhs < 2e-2
 
 
 def test_residual_shrinks_under_refinement_for_converged_states():
@@ -231,6 +274,25 @@ def test_radius_scan_checks_once_and_matches_disk_balance(monkeypatch):
     with pytest.raises(ValueError, match=r"r must lie in \[4h, 0.4\]"):
         radius_scan(u, m, (0.4, 0.6), (0.1, 0.45))
     assert len(calls) == 1
+
+
+def test_radius_scan_samples_every_field_in_one_call_per_radius(monkeypatch):
+    # u and both derivatives of all three components: one (9, n, n) stack
+    spec = GridSpec(64)
+    m = (3 * PI, 2.5 * PI, 2 * PI)
+    u = wave_state(spec, 0.3, signs=(1.0, -0.7, 0.4))
+    radii = (0.1, 0.15, 0.2, 0.3)
+    expected = radius_scan(u, m, (0.4, 0.6), radii)
+    bilinear = pohozaev._bilinear
+    stacks = []
+
+    def recording_bilinear(values, x, y):
+        stacks.append(values.shape)
+        return bilinear(values, x, y)
+
+    monkeypatch.setattr(pohozaev, "_bilinear", recording_bilinear)
+    assert radius_scan(u, m, (0.4, 0.6), radii) == expected
+    assert stacks == [(9, 64, 64)] * len(radii)
 
 
 def test_to_dict_round_trips_fields():
