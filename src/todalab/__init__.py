@@ -14,7 +14,6 @@ _EXPORTS = {
         "bubbles": (
             "BubbleParams",
             "SlopeFit",
-            "SlopeFitReport",
             "asymptotic_slope_table",
             "bubble_quantities",
             "fit_slopes",
@@ -62,7 +61,6 @@ _EXPORTS = {
         "minimizer": (
             "MinimizeConfig",
             "MinimizeReport",
-            "NonFiniteEnergyError",
             "classify_boundedness",
             "detect_concentration",
             "minimize",

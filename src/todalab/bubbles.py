@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BubbleParams",
     "SlopeFit",
-    "SlopeFitReport",
     "QUANTITY_KEYS",
     "standard_bubble",
     "bubble_quantities",
@@ -194,14 +193,6 @@ class SlopeFit:
     max_residual: float
 
 
-@dataclass(frozen=True)
-class SlopeFitReport:
-    """Least-squares slopes of each quantity against log(scale)."""
-
-    fits: dict[str, SlopeFit]
-    couplings: tuple[float, float]
-
-
 def _least_squares(columns: list[list[float]], vals: list[float]) -> SlopeFit:
     """Least-squares fit of vals on the columns, the first two being log(scale) and 1.
 
@@ -251,8 +242,8 @@ def fit_slopes(
     scales: Sequence[float],
     m: Sequence[float],
     flat_radius: float = 0.25,
-) -> SlopeFitReport:
-    """Fit each quantity's growth rate over a set of scales.
+) -> dict[str, SlopeFit]:
+    """Fit each quantity's growth rate against log(scale), keyed by QUANTITY_KEYS.
 
     Needs at least four distinct scales spanning a factor of e^2 or more.
     Each quantity is fit once, over every scale s, on log s, 1, s^-2 and
@@ -271,4 +262,4 @@ def fit_slopes(
     fits = {k: _least_squares(columns, [q[k] for q in table]) for k in QUANTITY_KEYS}
     if not all(math.isfinite(x) for f in fits.values() for x in vars(f).values()):
         raise NumericalError(f"the slope fits overflow at m1 = {mv[0]:g} and m2 = {mv[1]:g}")
-    return SlopeFitReport(fits, mv)
+    return fits

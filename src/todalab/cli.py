@@ -4,10 +4,11 @@ Each run resolves its options from defaults, an optional flat key=value
 config file, and command-line flags (flags win), validates them against
 the target module's preconditions before any compute starts, then
 writes its data files plus a manifest.json with the resolved config in
-the exact string forms the parser accepts, so a manifest can be fed
-back as a config file.  Exit codes: 0 success, 2 bad input, 1 numerical
-failure.  Timestamps and wall time live only in the manifest; the data
-files depend on nothing but the resolved config and seed.
+the exact string forms the parser accepts, so each entry of its config
+block replays as one key = value line of a config file.  Exit codes: 0
+success, 2 bad input, 1 numerical failure.  Timestamps and wall time
+live only in the manifest; the data files depend on nothing but the
+resolved config and seed.
 """
 
 from __future__ import annotations
@@ -414,13 +415,12 @@ def _run_bubble(config: RunConfig) -> int:
     from .bubbles import QUANTITY_KEYS
 
     asymptotic_slope_table, fit_slopes = _callees("asymptotic_slope_table", "fit_slopes")
-    report = fit_slopes(
+    fits = fit_slopes(
         config.values["scales"],
         config.couplings,
         flat_radius=config.values["flat_radius"],
     )
     expected = asymptotic_slope_table(config.couplings)
-    fits = report.fits
     write_csv(
         os.path.join(config.out, "slopes.csv"),
         "quantity,fitted_slope,expected_slope,intercept,max_residual",
@@ -561,10 +561,10 @@ def _bubble_identity_rows(m: Sequence[float]) -> list[IdentityRow]:
     asymptotic_slope_table, fit_slopes = _callees("asymptotic_slope_table", "fit_slopes")
     rows: list[IdentityRow] = []
     try:
-        report = fit_slopes(SUITE_SCALES, m)
+        fits = fit_slopes(SUITE_SCALES, m)
         expected = asymptotic_slope_table(m)
         for key in QUANTITY_KEYS:
-            fitted = report.fits[key].slope
+            fitted = fits[key].slope
             target = expected[key]
             if target == 0.0:
                 rows.append(_row("bubble_slope", key, fitted, 0.0, fitted, 0.05))

@@ -53,6 +53,7 @@ from __future__ import annotations
 import os
 from dataclasses import astuple, dataclass
 from functools import partial
+from numbers import Integral, Real
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -84,7 +85,6 @@ __all__ = [
     "MinimizeReport",
     "ConcentrationSpot",
     "SweepRow",
-    "NonFiniteEnergyError",
     "minimize",
     "detect_concentration",
     "classify_boundedness",
@@ -111,18 +111,6 @@ DENSITY_FLOOR = np.finfo(float).tiny
 REGION_CSV_HEADER = "m1,m2,status,energy,max_field,conc1,conc2"
 
 
-class NonFiniteEnergyError(NumericalError):
-    """Raised when the energy turns non-finite mid-run; carries the trace."""
-
-    def __init__(self, message: str, energy_trace: Sequence[float]):
-        super().__init__(message)
-        self.energy_trace = tuple(float(e) for e in energy_trace)
-
-    def __reduce__(self):
-        # both arguments, so the error survives the trip out of a pool worker
-        return type(self), (self.args[0], self.energy_trace)
-
-
 @dataclass(frozen=True)
 class MinimizeConfig:
     max_iters: int = 2000
@@ -130,23 +118,28 @@ class MinimizeConfig:
     # of total energies, so relaxation to a flat critical point is not cut
     # off by cancellation; the raw residuals must reach 10x this value
     grad_tol: float = 1e-6
+    seed: int = 0
+    # fixed values, not fields: the first trial step and the certificate's
+    # energy drop and disk
+    step: ClassVar[float] = 1.0
     # calibrated on the 64-cell grid: relaxing starts at couplings just
     # below threshold never drop more than ~10 while concentrated, and
     # every coupling past threshold has a seed dropping at least ~19
-    divergence_energy_drop: float = 14.0
-    seed: int = 0
-    # fixed values, not fields: the first trial step and the certificate's disk
-    step: ClassVar[float] = 1.0
+    divergence_energy_drop: ClassVar[float] = 14.0
     concentration_radius: ClassVar[float] = 0.05
     concentration_mass: ClassVar[float] = 0.9
 
     def __post_init__(self):
+        for name in ("max_iters", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
+        if not isinstance(self.grad_tol, Real):
+            raise ValueError("grad_tol must be a number")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        for name in ("grad_tol", "divergence_energy_drop"):
-            # written so that NaN fails too
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        # written so that NaN fails too
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -313,7 +306,7 @@ def minimize(
     # the line search accepts only finite energies, so the start is the
     # one place a non-finite value can enter
     if not np.isfinite(energy):
-        raise NonFiniteEnergyError("non-finite energy at iteration 0", trace)
+        raise NumericalError("non-finite energy at iteration 0")
     # the loop state: zero-mean v0, u = A v0, -lap v0, log int exp(u_i) and
     # the normalized densities, all updated in place along accepted steps
     v0, u, neglap, lse, rho = start.v0, start.u, start.neglap, start.lse, start.rho
@@ -438,16 +431,11 @@ def minimize(
     )
 
 
-def _disk_masses(rho: np.ndarray, spec: GridSpec, radius: float) -> np.ndarray:
-    """Disk mass around every cell of each density in the stack, by correlation."""
-    return _apply_symbol(rho, _disk_symbol(spec.n, radius))
-
-
 def _concentration_from_density(
     rho: np.ndarray, spec: GridSpec, radius: float
 ) -> tuple[ConcentrationSpot, ...]:
     spots = []
-    for masses in _disk_masses(rho, spec, radius):
+    for masses in _apply_symbol(rho, _disk_symbol(spec.n, radius)):
         peak = float(masses.max())
         # lexicographically smallest center among near-equal maxima
         tied = masses >= peak * (1.0 - 1e-12)

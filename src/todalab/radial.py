@@ -22,31 +22,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _dop853
 from .cartan import NumericalError, _dot, cartan_su
 from .closed_form import (
-    MassRelation,
-    MassReport,
     RadialProfile,
     _check_settings,
     _node_grid,
     _series_radius,
     check_mass_relation,
     masses_and_exponents,
-    write_solution_csv,
 )
 
 __all__ = [
-    "MassReport",
     "PohozaevBalance",
-    "MassRelation",
     "ShootingRow",
     "BlowUpError",
     "integrate_radial",
-    "masses_and_exponents",
     "ball_pohozaev",
-    "check_mass_relation",
     "sweep_shooting",
-    "write_solution_csv",
 ]
 
 FLUX_ABORT = 1e-5
@@ -96,14 +89,10 @@ def integrate_radial(
     an (N, N) coupling matrix, cartan_su(N) when omitted.
     Raises NumericalError when e^{max a0} overflows the series, BlowUpError
     when a profile climbs past the blow-up guard before reaching r_max or
-    the step size stalls, and aborts if the flux identity degrades beyond
-    FLUX_ABORT.
+    the step size stalls, and NumericalError when the flux identity
+    degrades beyond FLUX_ABORT.
     """
     start = np.array(_check_settings(a0, r_max, nodes))
-    # imported here so that processes that never integrate skip compiling
-    # the tableau when no bytecode is cached (about 6 ms and 0.4 MB)
-    from . import _dop853
-
     rank = start.size
     amat = cartan_su(rank) if cartan is None else np.array(cartan, dtype=np.float64)
     if amat.shape != (rank, rank):
@@ -161,7 +150,7 @@ def integrate_radial(
     )
     worst = result.flux_max()
     if worst > FLUX_ABORT:
-        raise RuntimeError(
+        raise NumericalError(
             f"flux identity violated: residual {worst:.3e} exceeds {FLUX_ABORT:g}"
         )
     return result

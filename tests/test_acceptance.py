@@ -191,13 +191,13 @@ def test_criterion_06_bubble_slopes():
     report = fit_slopes(scales, (3 * PI, 3 * PI))
     expected = asymptotic_slope_table((3 * PI, 3 * PI))
     for key, target in expected.items():
-        fitted = report.fits[key].slope
+        fitted = report[key].slope
         if target == 0.0:
             assert abs(fitted) < 0.05, key
         else:
             assert fitted == pytest.approx(target, rel=0.02), key
     steep = fit_slopes(scales, (5 * PI, 3 * PI))
-    assert steep.fits["energy"].slope == pytest.approx(
+    assert steep["energy"].slope == pytest.approx(
         2 * (FOUR_PI - 5 * PI), rel=0.02
     )
     assert time.perf_counter() - started < 60.0

@@ -227,7 +227,7 @@ def test_fitted_slopes_match_asymptotic_table():
     report = fit_slopes(scales, m)
     table = asymptotic_slope_table(m)
     for key, expected in table.items():
-        got = report.fits[key].slope
+        got = report[key].slope
         if expected == 0.0:
             assert abs(got) < 0.05, key
         else:
@@ -238,7 +238,7 @@ def test_fit_keeps_all_scales_when_already_asymptotic():
     m = (3.0 * np.pi, np.pi)
     scales = [np.e**4, np.e**5, np.e**6, np.e**7]
     report = fit_slopes(scales, m)
-    assert report.fits["energy"].slope == pytest.approx(2.0 * np.pi, rel=0.02)
+    assert report["energy"].slope == pytest.approx(2.0 * np.pi, rel=0.02)
 
 
 def test_energy_slope_at_the_asymptote_near_threshold():
@@ -249,7 +249,7 @@ def test_energy_slope_at_the_asymptote_near_threshold():
     scales = [np.e**7, np.e**8, np.e**9, np.e**10]
     assert SUITE_SCALES == tuple(scales)
     report = fit_slopes(scales, (3.99 * np.pi, 3.0 * np.pi))
-    assert report.fits["energy"].slope == pytest.approx(0.02 * np.pi, rel=1e-6)
+    assert report["energy"].slope == pytest.approx(0.02 * np.pi, rel=1e-6)
 
 
 def _numpy_fit(scales, m):
@@ -281,7 +281,7 @@ def test_fits_match_numpy_least_squares(scales):
         m = (m1, 3.0 * np.pi)
         report = fit_slopes(scales, m)
         for key, (slope, intercept, residual) in _numpy_fit(scales, m).items():
-            fit = report.fits[key]
+            fit = report[key]
             assert fit.slope == pytest.approx(slope, rel=1e-12, abs=1e-12), key
             assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=1e-12), key
             assert abs(fit.max_residual - residual) <= 1e-12, key
@@ -289,8 +289,8 @@ def test_fits_match_numpy_least_squares(scales):
 
 def test_energy_slope_flips_sign_at_threshold():
     scales = [np.e**2, np.e**3, np.e**4, np.e**5]
-    below = fit_slopes(scales, (3.0 * np.pi, np.pi)).fits["energy"].slope
-    above = fit_slopes(scales, (5.0 * np.pi, np.pi)).fits["energy"].slope
+    below = fit_slopes(scales, (3.0 * np.pi, np.pi))["energy"].slope
+    above = fit_slopes(scales, (5.0 * np.pi, np.pi))["energy"].slope
     assert below > 0
     assert above < 0
 
@@ -301,8 +301,8 @@ def test_fit_discards_preasymptotic_scale():
     m = (3.0 * np.pi, np.pi)
     scales = [2.0, np.e**2, np.e**3, np.e**4, np.e**5]
     report = fit_slopes(scales, m)
-    assert report.fits["grad1_sq"].slope == pytest.approx(32.0 * np.pi, rel=0.02)
-    assert report.fits["energy"].slope == pytest.approx(2.0 * np.pi, rel=0.02)
+    assert report["grad1_sq"].slope == pytest.approx(32.0 * np.pi, rel=0.02)
+    assert report["energy"].slope == pytest.approx(2.0 * np.pi, rel=0.02)
 
 
 def test_fit_takes_scales_a_millionth_apart():
@@ -312,7 +312,7 @@ def test_fit_takes_scales_a_millionth_apart():
     report = fit_slopes([20.0, 20.00002, 20.00004, 400.0], m)
     expected = asymptotic_slope_table(m)
     for key in ("energy", "grad1_sq"):
-        assert report.fits[key].slope == pytest.approx(expected[key], rel=1e-3)
+        assert report[key].slope == pytest.approx(expected[key], rel=1e-3)
 
 
 def test_fit_slopes_validation():
@@ -347,7 +347,7 @@ def test_largest_scale_keeps_every_quantity_finite():
         values = bubble_quantities(MAX_SCALE, (3.0 * np.pi, np.pi), flat_radius)
         assert all(np.isfinite(v) for v in values.values()), flat_radius
     report = fit_slopes([1e140, 1e145, 1e148, MAX_SCALE], (3.0 * np.pi, np.pi))
-    assert report.fits["energy"].slope == pytest.approx(2.0 * np.pi, rel=1e-9)
+    assert report["energy"].slope == pytest.approx(2.0 * np.pi, rel=1e-9)
 
 
 # The planar Liouville bubble phi = -2 log(1 + pi r^2) solves

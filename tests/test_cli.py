@@ -245,6 +245,20 @@ def test_bubble_at_the_float_maximum_is_a_one_line_numerical_failure(tmp_path, c
     assert (out / "manifest.json").exists()
 
 
+def test_flux_abort_is_a_one_line_numerical_failure(tmp_path, capfd, monkeypatch):
+    # no integrated profile meets a zero flux bound, so the first one aborts
+    import todalab.radial as radial
+
+    monkeypatch.setattr(radial, "FLUX_ABORT", 0.0)
+    code, out = run(tmp_path, "identities", "--only", "radial")
+    assert code == 1
+    (line,) = capfd.readouterr().err.splitlines()
+    assert line.startswith("numerical failure: flux identity violated: residual ")
+    assert line.endswith(" exceeds 0")
+    assert not (out / "identities.csv").exists()
+    assert (out / "manifest.json").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "args, data, message",
@@ -632,6 +646,21 @@ def test_lazy_names_are_their_submodules_objects():
     assert set(todalab.__all__) == set(todalab._EXPORTS)
     with pytest.raises(AttributeError):
         todalab.no_such_name
+
+
+def test_each_public_name_has_one_home():
+    # a module lists only what it defines, and the package table names
+    # the module that lists it
+    import importlib
+
+    for module in set(todalab._EXPORTS.values()):
+        home = importlib.import_module(f"todalab.{module}")
+        for name in home.__all__:
+            # constants such as a tuple or a string carry no __module__
+            defined_in = getattr(getattr(home, name), "__module__", home.__name__)
+            assert defined_in == home.__name__, (module, name)
+    for name, module in todalab._EXPORTS.items():
+        assert name in importlib.import_module(f"todalab.{module}").__all__, (module, name)
 
 
 @pytest.mark.parametrize(

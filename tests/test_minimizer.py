@@ -1,9 +1,10 @@
 """Descent driver checks: convergence, blow-up certificate, classification."""
 
+import dataclasses
 import io
 import os
-import pickle
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from todalab.bubbles import BubbleParams, standard_bubble
-from todalab.cartan import cartan_su_inverse
+from todalab.cartan import NumericalError, cartan_su, cartan_su_inverse
 from todalab.functional import (
     MultiField,
     _mix,
@@ -24,6 +25,7 @@ from todalab.functional import (
 from todalab.grid import (
     GridSpec,
     ScalarField,
+    _apply_symbol,
     _centered,
     _disk_symbol,
     _inverse_neg_laplacian,
@@ -32,6 +34,7 @@ from todalab.grid import (
     disk_mass,
     log_integral_exp,
     random_smooth_field,
+    sample_function,
 )
 import todalab.minimizer as minimizer
 from todalab.minimizer import (
@@ -39,12 +42,10 @@ from todalab.minimizer import (
     ConcentrationSpot,
     MinimizeConfig,
     MinimizeReport,
-    NonFiniteEnergyError,
     SweepRow,
     _bubble_seed,
     _classify,
     _concentration_from_density,
-    _disk_masses,
     _mirror_key,
     classify_boundedness,
     detect_concentration,
@@ -115,17 +116,35 @@ def test_config_rejects_bad_values():
         MinimizeConfig(max_iters=0)
     with pytest.raises(ValueError):
         MinimizeConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        MinimizeConfig(divergence_energy_drop=0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             MinimizeConfig(grad_tol=bad)
-    # the first trial step and the concentration disk are fixed, not settings
-    fixed = {"step": 1.0, "concentration_radius": 0.05, "concentration_mass": 0.9}
+    # the first trial step, the certificate's drop and its disk are fixed,
+    # not settings
+    fixed = {"step": 1.0, "divergence_energy_drop": 14.0,
+             "concentration_radius": 0.05, "concentration_mass": 0.9}
     for name, value in fixed.items():
         assert getattr(MinimizeConfig(), name) == value
         with pytest.raises(TypeError):
             MinimizeConfig(**{name: value})
+    assert [f.name for f in dataclasses.fields(MinimizeConfig)] == [
+        "max_iters", "grad_tol", "seed"]
+    # integer and real types other than int and float are accepted
+    MinimizeConfig(max_iters=np.int64(3), grad_tol=np.float32(1e-3), seed=np.uint8(1))
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"max_iters": 2.5}, "max_iters must be an integer"),
+    ({"max_iters": np.nan}, "max_iters must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": np.nan}, "seed must be an integer"),
+    ({"grad_tol": "1e-6"}, "grad_tol must be a number"),
+])
+def test_config_rejects_settings_of_the_wrong_type(settings, message):
+    # each of these used to pass the constructor and then fail inside the
+    # descent with a TypeError
+    with pytest.raises(ValueError, match=message):
+        MinimizeConfig(**settings)
 
 
 def test_minimize_input_validation():
@@ -209,6 +228,40 @@ def test_descent_starts_at_functional_energy(n):
     )
     report = minimize(m, spec, init=init, config=MinimizeConfig(max_iters=1))
     assert report.energy_trace[0] == pytest.approx(energy(init, m).total, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# rank 3: the flat state is a saddle inside the bounded box
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_rank_three_stripe_brackets_the_flat_saddle(n):
+    # v = 1e-2 c cos 2 pi x with c = A^-1 d, d the top eigenvector of A,
+    # moves u along d; the flat state is a saddle once every coupling
+    # passes m*_3 = 4 pi^2 / lam_max(A)
+    spec = GridSpec(n)
+    lam, vecs = np.linalg.eigh(cartan_su(3))
+    c = np.linalg.solve(cartan_su(3), vecs[:, -1])
+    m_star = 4 * PI**2 / lam[-1]
+    assert m_star == pytest.approx(3.6806 * PI, rel=1e-5)
+    stripe = sample_function(spec, lambda x, y: 1e-2 * np.cos(2 * PI * x)).values
+    init = MultiField(tuple(ScalarField(spec, ci * stripe) for ci in c))
+    below = minimize([0.99 * m_star] * 3, spec, init=init)
+    assert below.status == "Converged"
+    assert abs(below.energy_trace[-1]) < 1e-12  # back to flat
+    above = minimize([1.01 * m_star] * 3, spec, init=init)
+    assert above.status == "Converged"
+    assert above.energy_trace[-1] < 0.0  # a non-constant critical point
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_three_random_starts_end_below_the_flat_state(n, seed):
+    # (3.75 pi)^3 lies past m*_3 but inside the box M_j < 4 pi, where Phi
+    # has a minimizer; every start measured ends at E = -0.0494552
+    report = minimize([3.75 * PI] * 3, GridSpec(n), config=MinimizeConfig(seed=seed))
+    assert report.status == "Converged"
+    assert report.energy_trace[-1] < -0.04
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +576,17 @@ def test_extreme_couplings_end_cleanly(m1, m2, seed, early_stop):
     # orders of magnitude, and without the early stop the descent chases
     # a grid-scale spike whose density underflows almost everywhere
     spec = GridSpec(16)
-    config = MinimizeConfig(divergence_energy_drop=14.0 if early_stop else 1e300)
+    drop = 14.0 if early_stop else 1e300
     inits = [random_init(spec, seed)] + [
         v_from_u(_bubble_seed(spec, scale, component))
         for scale, component in ((64.0, 0), (4.0, 1))
     ]
     for init in inits:
         try:
-            report = minimize((m1, m2), spec, init=init, config=config)
-        except NonFiniteEnergyError:
+            with mock.patch.object(MinimizeConfig, "divergence_energy_drop", drop):
+                report = minimize((m1, m2), spec, init=init)
+        except NumericalError as exc:
+            assert str(exc) == "non-finite energy at iteration 0"
             continue
         values = [*report.energy_trace, *report.el_residuals, report.max_field,
                   *(spot.mass for spot in report.concentration)]
@@ -539,7 +594,8 @@ def test_extreme_couplings_end_cleanly(m1, m2, seed, early_stop):
         assert np.all(np.diff(report.energy_trace) <= 0.0)
     try:
         (row,) = sweep([(m1, m2)], spec)
-    except NonFiniteEnergyError:
+    except NumericalError as exc:
+        assert str(exc) == "non-finite energy at iteration 0"
         return
     assert np.all(np.isfinite([row.energy, row.max_field, row.conc1, row.conc2]))
 
@@ -551,21 +607,11 @@ def test_non_finite_energy_raises_with_trace():
     x = np.arange(16) / 16.0
     wave = 1.0e200 * np.cos(2 * PI * x)[:, None] * np.ones((1, 16))
     huge = MultiField((ScalarField(spec, wave), ScalarField(spec, -wave)))
-    with pytest.raises(NonFiniteEnergyError) as excinfo:
+    with pytest.raises(NumericalError) as excinfo:
         minimize((3 * PI, 3 * PI), spec, init=huge)
-    err = excinfo.value
-    assert isinstance(err, RuntimeError)
-    assert len(err.energy_trace) == 1
-    assert not np.isfinite(err.energy_trace[0])
-
-
-def test_non_finite_energy_error_survives_pickling():
-    # pool workers hand their exceptions to the parent by pickle
-    err = NonFiniteEnergyError("non-finite energy at iteration 3", [1.5, -2.0, np.inf])
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is NonFiniteEnergyError
-    assert str(back) == "non-finite energy at iteration 3"
-    assert back.energy_trace == (1.5, -2.0, np.inf)
+    assert type(excinfo.value) is NumericalError
+    assert isinstance(excinfo.value, RuntimeError)
+    assert str(excinfo.value) == "non-finite energy at iteration 0"
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +691,7 @@ def test_fft_disk_masses_match_roll_loop_and_disk_mass(n, radius, seed, spread):
     rng = np.random.default_rng(seed)
     density = np.exp(spread * rng.standard_normal((2, n, n)))
     density /= density.sum(axis=(1, 2), keepdims=True) * spec.h**2
-    masses = _disk_masses(density, spec, radius)
+    masses = _apply_symbol(density, _disk_symbol(n, radius))
     spots = _concentration_from_density(density, spec, radius)
     # the cached symbol is shared by every later decision, so it is read-only
     assert _disk_symbol(n, radius).flags.writeable is False
@@ -816,16 +862,14 @@ def test_worker_error_reaches_the_caller_with_its_trace(monkeypatch):
 
     def failing_classify(m, spec, config=None, relaxed=None):
         if m == POOL_CELLS[1]:
-            raise NonFiniteEnergyError("non-finite energy at iteration 2", [3.0, 1.0, np.nan])
+            raise NumericalError("non-finite energy at iteration 0")
         return classify(m, spec, config, relaxed)
 
     monkeypatch.setattr(minimizer, "_classify", failing_classify)
-    with pytest.raises(NonFiniteEnergyError) as excinfo:
+    with pytest.raises(NumericalError) as excinfo:
         sweep(POOL_CELLS[:3], GridSpec(32))
-    err = excinfo.value
-    assert str(err) == "non-finite energy at iteration 2"
-    assert err.energy_trace[:2] == (3.0, 1.0)
-    assert len(err.energy_trace) == 3 and np.isnan(err.energy_trace[2])
+    assert type(excinfo.value) is NumericalError
+    assert str(excinfo.value) == "non-finite energy at iteration 0"
 
 
 SEEDS = [(scale, component) for scale in (64.0, 16.0, 4.0) for component in (0, 1)]

@@ -16,6 +16,7 @@ from todalab.closed_form import (
     _check_settings,
     _node_grid,
     radial_profile,
+    write_solution_csv,
 )
 from todalab.radial import (
     BlowUpError,
@@ -26,7 +27,6 @@ from todalab.radial import (
     integrate_radial,
     masses_and_exponents,
     sweep_shooting,
-    write_solution_csv,
 )
 
 PI = np.pi
