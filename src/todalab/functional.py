@@ -103,9 +103,18 @@ class MultiField:
         return cls(tuple(ScalarField(spec, z) for _ in range(n_components)))
 
 
-def _mix(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_j matrix_ij stack_j for an (N, n, n) stack, as one matrix product."""
-    return (matrix @ stack.reshape(len(stack), -1)).reshape(stack.shape)
+def _mix(
+    matrix: np.ndarray, stack: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """sum_j matrix_ij stack_j for an (N, n, n) stack, as one matrix product.
+
+    out, if given, is a C-contiguous (N, n, n) array that receives it.
+    """
+    flat = stack.reshape(len(stack), -1)
+    if out is None:
+        return (matrix @ flat).reshape(stack.shape)
+    np.matmul(matrix, flat, out=out.reshape(flat.shape))
+    return out
 
 
 def u_from_v(v: MultiField) -> MultiField:
@@ -164,11 +173,21 @@ def evaluate(v_stack: np.ndarray, mv: np.ndarray) -> Evaluation:
 
 
 def raw_gradient(
-    rho: np.ndarray, neglap: np.ndarray, mv: np.ndarray
+    rho: np.ndarray,
+    neglap: np.ndarray,
+    mv: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """L2 gradient stack A (-lap v0 + s) and the source s = m (1 - rho) it uses."""
-    source = mv[:, None, None] * (1.0 - rho)
-    return _mix(cartan_su(len(mv)), neglap + source), source
+    """L2 gradient stack A (-lap v0 + s) and the source s = m (1 - rho) it uses.
+
+    out, if given, is a triple of C-contiguous (N, n, n) arrays that
+    receive the gradient, the source and the sum -lap v0 + s.
+    """
+    gradient, source, total = out or (None, None, None)
+    source = np.subtract(1.0, rho, out=source)
+    np.multiply(mv[:, None, None], source, out=source)
+    total = np.add(neglap, source, out=total)
+    return _mix(cartan_su(len(mv)), total, gradient), source
 
 
 def energy(v: MultiField, m: Sequence[float]) -> EnergyBreakdown:

@@ -99,10 +99,23 @@ def _derivative_symbols(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(2j * np.pi * kx), _read_only(2j * np.pi * ky)
 
 
-def _apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """irfft2(symbol * rfft2(values)) over the last two axes of a stack."""
-    hat = np.fft.rfft2(values, axes=(-2, -1))
-    return np.fft.irfft2(symbol * hat, s=values.shape[-2:], axes=(-2, -1))
+def _apply_symbol(
+    values: np.ndarray,
+    symbol: np.ndarray,
+    out: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
+    """irfft2(symbol * rfft2(values)) over the last two axes of a stack.
+
+    out and spectrum, when given, receive the result and the rfft2 half
+    spectrum, so a caller that owns both allocates nothing here.  The
+    inverse runs as irfft2 does, an ifft over axis -2 and an irfft over
+    axis -1, but in place: numpy's irfft2 ignores its out argument.
+    """
+    hat = np.fft.rfft2(values, axes=(-2, -1), out=spectrum)
+    np.multiply(symbol, hat, out=hat)
+    np.fft.ifft(hat, axis=-2, out=hat)
+    return np.fft.irfft(hat, n=values.shape[-1], axis=-1, out=out)
 
 
 def _centered(values: np.ndarray) -> np.ndarray:
@@ -120,9 +133,16 @@ def _neg_laplacian(values: np.ndarray) -> np.ndarray:
     return _apply_symbol(_centered(values), _neglap_symbol(values.shape[-1]))
 
 
-def _inverse_neg_laplacian(values: np.ndarray) -> np.ndarray:
-    """Zero-mean solution of -lap g = f for each slice; the mean of f is dropped."""
-    return _apply_symbol(values, _inverse_symbol(values.shape[-1]))
+def _inverse_neg_laplacian(
+    values: np.ndarray,
+    out: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
+    """Zero-mean solution of -lap g = f for each slice; the mean of f is dropped.
+
+    out and spectrum are as for _apply_symbol.
+    """
+    return _apply_symbol(values, _inverse_symbol(values.shape[-1]), out, spectrum)
 
 
 def _spatial_gradient(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,11 +151,16 @@ def _spatial_gradient(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _apply_symbol(values, dx), _apply_symbol(values, dy)
 
 
-def _log_integral_exp(values: np.ndarray) -> np.ndarray:
-    """log of the integral of exp, per slice, max-shifted so it never overflows."""
+def _log_integral_exp(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log of the integral of exp, per slice, max-shifted so it never overflows.
+
+    out, if given (values itself may serve), receives the shifted
+    exponentials, so no array of the stack's size is allocated.
+    """
     n = values.shape[-1]
     peak = values.max(axis=(-2, -1))
-    sums = np.exp(values - peak[..., None, None]).sum(axis=(-2, -1))
+    shifted = np.subtract(values, peak[..., None, None], out=out)
+    sums = np.exp(shifted, out=shifted).sum(axis=(-2, -1))
     return np.log(sums * (1.0 / n) ** 2) + peak
 
 

@@ -27,6 +27,18 @@ by that change, so each iteration costs one FFT pair (the
 preconditioner) and the recorded energy trace is non-increasing by
 construction.
 
+The loop allocates nothing after its start.  Every (N, n, n) array it
+writes (the raw gradient, the source, P g and -lap P g, the direction
+and -lap d, w = A d, the line-search growth, one scratch array and the
+rfft half spectrum) lives in one workspace allocated before the first
+iteration and rewritten in place, through ufunc out= and the out
+arguments of the spectral and mixing kernels.  Without a history the
+direction -P g overwrites P g; with one, the arrays that push reads from
+the previous iterate sit in a second buffer set, and the two sets swap
+at each accepted step.  The workspace is freed before the report's
+fields, residuals and final detector are built, so a descent at n = 256
+holds about 12 field stacks at its peak.
+
 A run that ends far below its starting energy with more than 0.9 of
 one component's normalized mass inside a disk of radius 0.05 (fixed) is
 reported Unbounded; this conjunction separates genuine concentration
@@ -61,6 +73,7 @@ import numpy as np
 from .cartan import NumericalError, _check_couplings, _coupling_values, cartan_su
 from ._csv import write_csv
 from .functional import (
+    Evaluation,
     MultiField,
     _mix,
     _require_normalized,
@@ -101,9 +114,13 @@ ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 STEP_GROWTH = 1.5
 # L-BFGS memory: at most this many pairs, and no more than fit in about
-# one core's L2 cache (2 MiB) at four (N, n, n) arrays per pair.  At
-# n = 64 that is 5 pairs; at n = 256 a pair alone is 4 MiB, the history
-# is empty, and the descent takes plain preconditioned steps.
+# one core's L2 cache (2 MiB) at four (N, n, n) arrays per pair (P y, s
+# and their -lap images).  At n = 64 that is 5 pairs; at n = 256 a pair
+# alone is 4 MiB, the history is empty, and the descent takes plain
+# preconditioned steps.  A history also costs seven workspace arrays:
+# d and -lap d apart from P g, and a second buffer set of five (the
+# previous iterate's raw gradient, P g, -lap P g, d and -lap d), which
+# push reads.
 HISTORY_PAIRS = 5
 HISTORY_BYTES = 2 * 1024 * 1024
 DENSITY_FLOOR = np.finfo(float).tiny
@@ -130,10 +147,12 @@ class MinimizeConfig:
     concentration_mass: ClassVar[float] = 0.9
 
     def __post_init__(self):
+        # bool subclasses int, but True is neither a count nor a tolerance
         for name in ("max_iters", "seed"):
-            if not isinstance(getattr(self, name), Integral):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer")
-        if not isinstance(self.grad_tol, Real):
+        if isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, Real):
             raise ValueError("grad_tol must be a number")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
@@ -203,13 +222,14 @@ class _History:
         return self.stack[:, :used].reshape(2, 2 * used, -1)
 
     def push(self, raw, precond, neglap_precond, step, direction, neglap_d,
-             raw_prev, precond_prev, neglap_precond_prev) -> None:
+             raw_prev, precond_prev, neglap_precond_prev, scratch=None) -> None:
         """Add the pair of the last accepted step if its curvature is positive.
 
         s = step d, y = raw - raw_prev, and P y = precond - precond_prev
-        because P is linear; the oldest pair makes room when full.
+        because P is linear; the oldest pair makes room when full.  y is
+        formed in scratch when one is given.
         """
-        y = raw - raw_prev
+        y = np.subtract(raw, raw_prev, out=scratch)
         if not 0.0 < step * float(direction.ravel() @ y.ravel()) < np.inf:
             return  # the energy is not convex here; keep the older pairs
         if len(self.order) == self.size:
@@ -227,13 +247,16 @@ class _History:
         self.ypy[: len(self.order), slot] = dots[0::2]
         self.sy[: len(self.order), slot] = dots[1::2]
 
-    def direction(self, raw, precond, neglap_precond) -> tuple[np.ndarray, np.ndarray]:
+    def direction(
+        self, raw, precond, neglap_precond, out=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """d = -H raw and -lap d, by the two-loop recursion on the Gram scalars.
 
         With q = raw - sum_j alpha_j y_j the recursion returns
         H raw = P raw - sum_j alpha_j P y_j + sum_j (alpha_j - beta_j) s_j,
         where <s_i, q> and <y_i, P q> expand into <s_i, raw>, <P y_i, raw>
-        (P is symmetric) and the Gram scalars.
+        (P is symmetric) and the Gram scalars.  out, if given, is a
+        C-contiguous (2, N, n, n) array whose halves receive d and -lap d.
         """
         rows = self._rows()
         dots = (rows[0] @ raw.ravel()).tolist()
@@ -258,10 +281,12 @@ class _History:
                 r -= coef[2 * j + 1] * sy[j][i]
             coef[2 * i] = alpha[i]
             coef[2 * i + 1] = r / sy[i][i] - alpha[i]
-        combined = np.asarray(coef) @ rows
+        if out is None:
+            out = np.empty((2,) + self.shape)
+        np.matmul(np.asarray(coef), rows, out=out.reshape(2, -1))
         return (
-            combined[0].reshape(self.shape) - precond,
-            combined[1].reshape(self.shape) - neglap_precond,
+            np.subtract(out[0], precond, out=out[0]),
+            np.subtract(out[1], neglap_precond, out=out[1]),
         )
 
 
@@ -285,8 +310,6 @@ def minimize(
     config = config or MinimizeConfig()
     mv = _check_couplings(m)
     rank = len(mv)
-    amat = cartan_su(rank)
-    cell_area = spec.h * spec.h
 
     if init is None:
         rng = np.random.default_rng(config.seed)
@@ -301,117 +324,23 @@ def minimize(
         v_stack = init.stack()
 
     start = evaluate(v_stack, mv)
-    energy = start.parts.total
-    trace = [energy]
+    del v_stack
+    trace = [start.parts.total]
     # the line search accepts only finite energies, so the start is the
     # one place a non-finite value can enter
-    if not np.isfinite(energy):
+    if not np.isfinite(trace[0]):
         raise NumericalError("non-finite energy at iteration 0")
-    # the loop state: zero-mean v0, u = A v0, -lap v0, log int exp(u_i) and
-    # the normalized densities, all updated in place along accepted steps
-    v0, u, neglap, lse, rho = start.v0, start.u, start.neglap, start.lse, start.rho
-    linear_weights = (amat @ mv)[:, None, None]
-    # no disk holds more than its area (the mask spectrum's zero mode, h^2
-    # times its cell count) times the peak density; the margin covers the
-    # detector's FFT roundoff, so skipping below it changes no decision
-    disk_area = _disk_symbol(spec.n, config.concentration_radius)[0, 0]
-    detector_floor = config.concentration_mass * (1.0 - 1e-12) / disk_area
-    step = config.step
-    iterations = 0
-    converged = False
-    certified = None
-    pairs = min(HISTORY_PAIRS, HISTORY_BYTES // (4 * v_stack.nbytes))
-    history = _History(pairs, v_stack.shape)
-    previous = None  # the last accepted step and the gradient it started from
-
-    for _ in range(config.max_iters):
-        raw, source = raw_gradient(rho, neglap, mv)
-        precond = v0 + _inverse_neg_laplacian(source)
-        # a coupling past about 1e154 squares its gradient past the float range
-        with np.errstate(over="ignore"):
-            precond_norm = float(np.sqrt(cell_area * np.sum(precond**2)))
-            raw_norms = np.sqrt(cell_area * np.sum(raw**2, axis=(1, 2)))
-        if not (np.isfinite(precond_norm) and np.all(np.isfinite(raw_norms))):
-            raise NumericalError(f"non-finite gradient norm at iteration {iterations}")
-        if precond_norm < config.grad_tol and np.all(
-            raw_norms < 10.0 * config.grad_tol
-        ):
-            converged = True
-            break
-
-        # precond = v0 + (-lap)^-1 source, so -lap precond = -lap v0 + source - mean(source)
-        neglap_precond = neglap + source - source.mean(axis=(1, 2), keepdims=True)
-        if previous is not None:
-            history.push(raw, precond, neglap_precond, *previous)
-        if history.order:
-            direction, neglap_d = history.direction(raw, precond, neglap_precond)
-            slope = cell_area * float(np.sum(raw * direction))
-            if not slope < 0:
-                history.order.clear()  # restart from the plain preconditioned step
-        if not history.order:
-            direction, neglap_d = -precond, -neglap_precond
-            slope = cell_area * float(np.sum(raw * direction))
-        if not slope < 0:
-            break  # numerical floor: no descent available
-        if history.order:
-            step = 1.0  # a quasi-Newton step is scaled already
-
-        # along v0 + s d the energy changes by
-        #   s b1 + s^2 b2 - sum_i m_i log1p(h^2 sum rho_i expm1(s w_i)),  w = A d,
-        # which needs no transform and subtracts no two large energies
-        w = _mix(amat, direction)
-        # once a density has underflowed, the multiplicative update has lost
-        # weight that a later step may raise again, and log1p(masses) loses
-        # digits as the mass leaves its cells; the change of log int exp(u)
-        # then comes from u itself
-        exact = rho.min() < DENSITY_FLOOR
-        b1 = cell_area * float(np.sum(w * neglap) + np.sum(linear_weights * direction))
-        b2 = 0.5 * cell_area * float(np.sum(w * neglap_d))
-        while step > 1e-16 * config.step:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if exact:
-                    shift = _log_integral_exp(u + step * w) - lse
-                else:
-                    growth = np.expm1(step * w)
-                    masses = cell_area * np.sum(rho * growth, axis=(1, 2))
-                    shift = np.log1p(masses)
-                change = step * b1 + step * step * b2 - float(mv @ shift)
-            if np.isfinite(change) and change <= ARMIJO_C1 * step * slope:
-                break
-            step *= BACKTRACK
-        else:
-            break  # no acceptable step above the floor
-        v0 += step * direction
-        u += step * w
-        neglap += step * neglap_d
-        lse += shift
-        if exact:
-            rho = np.exp(u - lse[:, None, None])
-        else:
-            rho *= 1.0 + growth
-            rho /= (1.0 + masses)[:, None, None]
-        energy += change
-        trace.append(energy)
-        iterations += 1
-        if history.size:
-            previous = (step, direction, neglap_d, raw, precond, neglap_precond)
-        step *= STEP_GROWTH
-        # once the blow-up certificate (drop plus concentration) holds,
-        # further descent only chases the same grid-limited spike
-        past_drop_line = energy < trace[0] - config.divergence_energy_drop
-        if past_drop_line and rho.max() >= detector_floor:
-            spots = _concentration_from_density(
-                rho, spec, config.concentration_radius
-            )
-            if any(s.mass > config.concentration_mass for s in spots):
-                certified = spots
-                break
-
-    u_norm = u - lse[:, None, None]
-    final_u = MultiField(tuple(ScalarField(spec, comp) for comp in u_norm))
+    converged, certified = _descend(start, mv, spec, config, trace)
+    # the descent's workspace is gone; of the start only the final u,
+    # log int exp(u) and densities are still needed
+    u, lse, rho = start.u, start.lse, start.rho
+    del start
+    u -= lse[:, None, None]  # normalized: int exp(u_i) = 1
+    final_u = MultiField(tuple(ScalarField(spec, comp) for comp in u))
     spots = certified or _concentration_from_density(
         rho, spec, config.concentration_radius
     )
+    del rho
     # every accepted state met the certificate's test in the loop
     if certified:
         status = STATUS_UNBOUNDED
@@ -425,17 +354,169 @@ def minimize(
         energy_trace=tuple(trace),
         final_u=final_u,
         el_residuals=residuals,
-        max_field=float(u_norm.max()),
+        max_field=float(u.max()),
         concentration=spots,
-        iterations=iterations,
+        iterations=len(trace) - 1,
     )
 
 
+def _descend(
+    start: Evaluation,
+    mv: np.ndarray,
+    spec: GridSpec,
+    config: MinimizeConfig,
+    trace: list[float],
+) -> tuple[bool, Optional[tuple[ConcentrationSpot, ...]]]:
+    """The descent loop from an evaluated start: (converged, certified spots).
+
+    Each accepted step updates the start's arrays in place and appends
+    its energy to trace.  Every (N, n, n) array the loop writes lives in
+    a workspace allocated here, before the first iteration, and is
+    rewritten in place; returning frees it.
+    """
+    # the loop state: zero-mean v0, u = A v0, -lap v0, log int exp(u_i) and
+    # the normalized densities, all updated in place along accepted steps
+    v0, u, neglap, lse, rho = start.v0, start.u, start.neglap, start.lse, start.rho
+    amat = cartan_su(len(mv))
+    cell_area = spec.h * spec.h
+    energy = trace[0]
+    linear_weights = (amat @ mv)[:, None, None]
+    # no disk holds more than its area (the mask spectrum's zero mode, h^2
+    # times its cell count) times the peak density; the margin covers the
+    # detector's FFT roundoff, so skipping below it changes no decision
+    disk_area = _disk_symbol(spec.n, config.concentration_radius)[0, 0]
+    detector_floor = config.concentration_mass * (1.0 - 1e-12) / disk_area
+    step = config.step
+    shape = v0.shape
+    pairs = min(HISTORY_PAIRS, HISTORY_BYTES // (4 * v0.nbytes))
+    history = _History(pairs, shape)
+    previous = None  # the last accepted step and the gradient it started from
+
+    # the workspace.  A buffer set holds the raw gradient, P g beside
+    # -lap P g, and d beside -lap d; without a history d = -P g is formed
+    # in place of P g.  push reads the previous iterate's set, so a
+    # history keeps two sets and swaps them at each accepted step.
+    sets = []
+    for _ in range(2 if pairs else 1):
+        precond_pair = np.empty((2,) + shape)
+        direction_pair = np.empty((2,) + shape) if pairs else precond_pair
+        sets.append((np.empty(shape), precond_pair, direction_pair))
+    source_buf, w_buf, growth, scratch = (np.empty(shape) for _ in range(4))
+    spectrum = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+
+    for _ in range(config.max_iters):
+        raw_buf, precond_pair, direction_pair = sets[0]
+        # raw_gradient leaves -lap v0 + source in neglap_precond's buffer
+        raw, source = raw_gradient(
+            rho, neglap, mv, (raw_buf, source_buf, precond_pair[1])
+        )
+        precond = _inverse_neg_laplacian(source, precond_pair[0], spectrum)
+        np.add(v0, precond, out=precond)
+        # a coupling past about 1e154 squares its gradient past the float range
+        with np.errstate(over="ignore"):
+            squares = np.square(precond, out=scratch)
+            precond_norm = float(np.sqrt(cell_area * np.sum(squares)))
+            squares = np.square(raw, out=scratch)
+            raw_norms = np.sqrt(cell_area * np.sum(squares, axis=(1, 2)))
+        if not (np.isfinite(precond_norm) and np.all(np.isfinite(raw_norms))):
+            raise NumericalError(
+                f"non-finite gradient norm at iteration {len(trace) - 1}"
+            )
+        if precond_norm < config.grad_tol and np.all(
+            raw_norms < 10.0 * config.grad_tol
+        ):
+            return True, None
+
+        # precond = v0 + (-lap)^-1 source, so -lap precond = -lap v0 + source - mean(source)
+        neglap_precond = precond_pair[1]
+        neglap_precond -= source.mean(axis=(1, 2), keepdims=True)
+        if previous is not None:
+            history.push(raw, precond, neglap_precond, *previous, scratch)
+        if history.order:
+            direction, neglap_d = history.direction(
+                raw, precond, neglap_precond, direction_pair
+            )
+            slope = cell_area * float(np.sum(np.multiply(raw, direction, out=scratch)))
+            if not slope < 0:
+                history.order.clear()  # restart from the plain preconditioned step
+        if not history.order:
+            # without a history these overwrite precond and neglap_precond
+            direction = np.negative(precond, out=direction_pair[0])
+            neglap_d = np.negative(neglap_precond, out=direction_pair[1])
+            slope = cell_area * float(np.sum(np.multiply(raw, direction, out=scratch)))
+        if not slope < 0:
+            break  # numerical floor: no descent available
+        if history.order:
+            step = 1.0  # a quasi-Newton step is scaled already
+
+        # along v0 + s d the energy changes by
+        #   s b1 + s^2 b2 - sum_i m_i log1p(h^2 sum rho_i expm1(s w_i)),  w = A d,
+        # which needs no transform and subtracts no two large energies
+        w = _mix(amat, direction, w_buf)
+        # once a density has underflowed, the multiplicative update has lost
+        # weight that a later step may raise again, and log1p(masses) loses
+        # digits as the mass leaves its cells; the change of log int exp(u)
+        # then comes from u itself
+        exact = rho.min() < DENSITY_FLOOR
+        b1 = cell_area * float(
+            np.sum(np.multiply(w, neglap, out=scratch))
+            + np.sum(np.multiply(linear_weights, direction, out=scratch))
+        )
+        b2 = 0.5 * cell_area * float(np.sum(np.multiply(w, neglap_d, out=scratch)))
+        while step > 1e-16 * config.step:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                np.multiply(step, w, out=growth)
+                if exact:
+                    np.add(u, growth, out=growth)
+                    shift = _log_integral_exp(growth, growth) - lse
+                else:
+                    np.expm1(growth, out=growth)
+                    products = np.multiply(rho, growth, out=scratch)
+                    masses = cell_area * np.sum(products, axis=(1, 2))
+                    shift = np.log1p(masses)
+                change = step * b1 + step * step * b2 - float(mv @ shift)
+            if np.isfinite(change) and change <= ARMIJO_C1 * step * slope:
+                break
+            step *= BACKTRACK
+        else:
+            break  # no acceptable step above the floor
+        v0 += np.multiply(step, direction, out=scratch)
+        u += np.multiply(step, w, out=scratch)
+        neglap += np.multiply(step, neglap_d, out=scratch)
+        lse += shift
+        if exact:
+            np.exp(np.subtract(u, lse[:, None, None], out=rho), out=rho)
+        else:
+            rho *= np.add(1.0, growth, out=growth)
+            rho /= (1.0 + masses)[:, None, None]
+        energy += change
+        trace.append(energy)
+        if history.size:
+            previous = (step, direction, neglap_d, raw, precond, neglap_precond)
+            sets.reverse()
+        step *= STEP_GROWTH
+        # once the blow-up certificate (drop plus concentration) holds,
+        # further descent only chases the same grid-limited spike
+        past_drop_line = energy < trace[0] - config.divergence_energy_drop
+        if past_drop_line and rho.max() >= detector_floor:
+            spots = _concentration_from_density(
+                rho, spec, config.concentration_radius, scratch, spectrum
+            )
+            if any(s.mass > config.concentration_mass for s in spots):
+                return False, spots
+    return False, None
+
+
 def _concentration_from_density(
-    rho: np.ndarray, spec: GridSpec, radius: float
+    rho: np.ndarray,
+    spec: GridSpec,
+    radius: float,
+    out: Optional[np.ndarray] = None,
+    spectrum: Optional[np.ndarray] = None,
 ) -> tuple[ConcentrationSpot, ...]:
+    """Heaviest disk mass per component; out and spectrum as for _apply_symbol."""
     spots = []
-    for masses in _apply_symbol(rho, _disk_symbol(spec.n, radius)):
+    for masses in _apply_symbol(rho, _disk_symbol(spec.n, radius), out, spectrum):
         peak = float(masses.max())
         # lexicographically smallest center among near-equal maxima
         tied = masses >= peak * (1.0 - 1e-12)

@@ -7,12 +7,14 @@ from scipy.special import i0
 from todalab.cartan import cartan_su
 from todalab.functional import (
     MultiField,
+    _mix,
     energy,
     energy_gradient,
     energy_u,
     euler_lagrange_residuals,
     normalize_components,
     precondition_gradient,
+    raw_gradient,
     u_from_v,
     v_from_u,
 )
@@ -351,3 +353,28 @@ def test_normalize_components():
 
     for c in u.components:
         assert abs(log_integral_exp(c)) < 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+def test_mixing_kernels_into_out_match_the_allocating_forms(rank, n):
+    # the descent writes A d and the gradient into its workspace
+    rng = np.random.default_rng(n + rank)
+    stack = rng.standard_normal((rank, n, n))
+    out = np.empty_like(stack)
+    assert _mix(cartan_su(rank), stack, out) is out
+    assert np.array_equal(out, _mix(cartan_su(rank), stack))
+    rho = rng.uniform(0.0, 3.0, (rank, n, n))
+    neglap = rng.standard_normal((rank, n, n))
+    mv = rng.uniform(1.0, 12.0, rank)
+    buffers = tuple(np.empty_like(stack) for _ in range(3))
+    gradient, source = raw_gradient(rho, neglap, mv, buffers)
+    assert gradient is buffers[0] and source is buffers[1]
+    want_source = mv[:, None, None] * (1.0 - rho)
+    want_gradient = (cartan_su(rank) @ (neglap + want_source).reshape(rank, -1))
+    assert np.array_equal(gradient, want_gradient.reshape(stack.shape))
+    assert np.array_equal(source, want_source)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(raw_gradient(rho, neglap, mv), (gradient, source)))
+    # the third buffer keeps the sum -lap v0 + s that was mixed
+    assert np.array_equal(buffers[2], neglap + want_source)

@@ -8,6 +8,12 @@ import pytest
 from todalab.grid import (
     GridSpec,
     ScalarField,
+    _apply_symbol,
+    _derivative_symbols,
+    _disk_symbol,
+    _inverse_neg_laplacian,
+    _log_integral_exp,
+    _neglap_symbol,
     dirichlet_pairing,
     disk_mass,
     integral,
@@ -291,3 +297,43 @@ def test_disk_mass_rejects_negative_density():
     rho = ScalarField(spec, -np.ones(spec.shape))
     with pytest.raises(ValueError, match="nonnegative"):
         disk_mass(rho, (0.0, 0.0), 0.1)
+
+
+# ------------------------------------------------- kernels writing into out
+
+GRID_SIZES = (8, 16, 32, 64, 128, 256)
+
+
+def half_spectrum(shape):
+    return np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_apply_symbol_into_out_matches_the_allocating_form(rank, n):
+    # the descent's workspace goes through out and spectrum; every other
+    # caller allocates, and both must give the bytes of the textbook
+    # irfft2(symbol * rfft2(values)), which numpy cannot write into out
+    values = np.random.default_rng(n + rank).standard_normal((rank, n, n))
+    symbols = (_neglap_symbol(n), _disk_symbol(n, 0.05), _derivative_symbols(n)[0])
+    for symbol in symbols:
+        textbook = np.fft.irfft2(
+            symbol * np.fft.rfft2(values, axes=(-2, -1)), s=(n, n), axes=(-2, -1)
+        )
+        out, spectrum = np.empty_like(values), half_spectrum(values.shape)
+        assert _apply_symbol(values, symbol, out, spectrum) is out
+        assert np.array_equal(out, textbook)
+        assert np.array_equal(_apply_symbol(values, symbol), textbook)
+    out, spectrum = np.empty_like(values), half_spectrum(values.shape)
+    assert _inverse_neg_laplacian(values, out, spectrum) is out
+    assert np.array_equal(out, _inverse_neg_laplacian(values))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_log_integral_exp_into_out_matches_the_allocating_form(rank, n):
+    values = 3.0 * np.random.default_rng(n + rank).standard_normal((rank, n, n))
+    want = _log_integral_exp(values)
+    assert np.array_equal(_log_integral_exp(values, np.empty_like(values)), want)
+    # the descent passes the values' own buffer
+    assert np.array_equal(_log_integral_exp(values, values), want)

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import os
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -145,6 +146,19 @@ def test_config_rejects_settings_of_the_wrong_type(settings, message):
     # descent with a TypeError
     with pytest.raises(ValueError, match=message):
         MinimizeConfig(**settings)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("max_iters", "max_iters must be an integer"),
+    ("seed", "seed must be an integer"),
+    ("grad_tol", "grad_tol must be a number"),
+])
+@pytest.mark.parametrize("value", [True, False])
+def test_config_rejects_booleans(name, value, message):
+    # bool subclasses int: max_iters=True used to run one iteration and
+    # grad_tol=True to set a tolerance of 1.0
+    with pytest.raises(ValueError, match=message):
+        MinimizeConfig(**{name: value})
 
 
 def test_minimize_input_validation():
@@ -478,16 +492,16 @@ def test_non_descent_direction_restarts_with_the_preconditioned_step(monkeypatch
     mix = minimizer._mix
     forced, searched = [], []
 
-    def uphill(history, raw, precond, neglap_precond):
-        d, neglap_d = quasi_newton(history, raw, precond, neglap_precond)
+    def uphill(history, raw, precond, neglap_precond, *out):
+        d, neglap_d = quasi_newton(history, raw, precond, neglap_precond, *out)
         forced.append((history, -precond))
         return -d, -neglap_d
 
-    def record(matrix, direction):
+    def record(matrix, direction, *out):
         # the descent mixes each searched direction once, as w = A d
         if forced:
             searched.append((len(forced), len(forced[-1][0].order), direction.copy()))
-        return mix(matrix, direction)
+        return mix(matrix, direction, *out)
 
     monkeypatch.setattr(minimizer._History, "direction", uphill)
     monkeypatch.setattr(minimizer, "_mix", record)
@@ -506,7 +520,7 @@ def test_each_iteration_runs_one_inverse_laplacian(monkeypatch):
     inverse = minimizer._inverse_neg_laplacian
     calls = []
     monkeypatch.setattr(minimizer, "_inverse_neg_laplacian",
-                        lambda values: calls.append(1) or inverse(values))
+                        lambda values, *out: calls.append(1) or inverse(values, *out))
     spec = GridSpec(64)
     init = v_from_u(_bubble_seed(spec, 16.0, 0))
     report = minimize((3.9 * PI, 3.9 * PI), spec, init=init)
@@ -521,8 +535,14 @@ def test_first_preconditioned_gradient_matches_precondition_gradient(monkeypatch
     # precondition_gradient applies A^-1 and (-lap)^-1 to the L2 gradient
     inverse = minimizer._inverse_neg_laplacian
     outputs = []
-    monkeypatch.setattr(minimizer, "_inverse_neg_laplacian",
-                        lambda values: outputs.append(inverse(values)) or outputs[-1])
+
+    def record(values, *out):
+        # the descent adds v0 to the result in place, so keep a copy
+        result = inverse(values, *out)
+        outputs.append(result.copy())
+        return result
+
+    monkeypatch.setattr(minimizer, "_inverse_neg_laplacian", record)
     spec = GridSpec(32)
     rng = np.random.default_rng(rank)
     v = MultiField(tuple(random_smooth_field(spec, rng) for _ in range(rank)))
@@ -541,6 +561,27 @@ def test_history_fits_its_byte_budget(monkeypatch, n, pairs):
                         lambda size, shape: sizes.append(size) or history(size, shape))
     minimize((3 * PI, 3 * PI), GridSpec(n), config=MinimizeConfig(max_iters=1))
     assert sizes == [pairs]
+
+
+@pytest.mark.parametrize("m, config", [
+    ((2.04 * PI, 2.13 * PI), MinimizeConfig(seed=447)),
+    ((3.9 * PI,) * 3, MinimizeConfig(max_iters=5)),
+])
+def test_descent_at_n256_holds_at_most_thirteen_field_stacks(m, config):
+    # the loop state (v0, u, -lap v0, rho) and a workspace of eight arrays
+    # come to about 12 (N, n, n) stacks; allocating in every iteration
+    # held 22 at once
+    spec = GridSpec(256)
+    # the cached symbols at n = 256 are not part of the descent
+    minimize((2 * PI, 2 * PI), spec, config=MinimizeConfig(max_iters=1))
+    tracemalloc.start()
+    try:
+        report = minimize(m, spec, config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterations >= 5
+    assert peak <= 13 * len(m) * spec.n**2 * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize(
