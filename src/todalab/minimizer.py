@@ -222,12 +222,12 @@ class _History:
         return self.stack[:, :used].reshape(2, 2 * used, -1)
 
     def push(self, raw, precond, neglap_precond, step, direction, neglap_d,
-             raw_prev, precond_prev, neglap_precond_prev, scratch=None) -> None:
+             raw_prev, precond_prev, neglap_precond_prev, scratch) -> None:
         """Add the pair of the last accepted step if its curvature is positive.
 
         s = step d, y = raw - raw_prev, and P y = precond - precond_prev
         because P is linear; the oldest pair makes room when full.  y is
-        formed in scratch when one is given.
+        formed in scratch, an (N, n, n) array.
         """
         y = np.subtract(raw, raw_prev, out=scratch)
         if not 0.0 < step * float(direction.ravel() @ y.ravel()) < np.inf:
@@ -248,15 +248,15 @@ class _History:
         self.sy[: len(self.order), slot] = dots[1::2]
 
     def direction(
-        self, raw, precond, neglap_precond, out=None
+        self, raw, precond, neglap_precond, out
     ) -> tuple[np.ndarray, np.ndarray]:
         """d = -H raw and -lap d, by the two-loop recursion on the Gram scalars.
 
         With q = raw - sum_j alpha_j y_j the recursion returns
         H raw = P raw - sum_j alpha_j P y_j + sum_j (alpha_j - beta_j) s_j,
         where <s_i, q> and <y_i, P q> expand into <s_i, raw>, <P y_i, raw>
-        (P is symmetric) and the Gram scalars.  out, if given, is a
-        C-contiguous (2, N, n, n) array whose halves receive d and -lap d.
+        (P is symmetric) and the Gram scalars.  out is a C-contiguous
+        (2, N, n, n) array whose halves receive d and -lap d.
         """
         rows = self._rows()
         dots = (rows[0] @ raw.ravel()).tolist()
@@ -281,8 +281,6 @@ class _History:
                 r -= coef[2 * j + 1] * sy[j][i]
             coef[2 * i] = alpha[i]
             coef[2 * i + 1] = r / sy[i][i] - alpha[i]
-        if out is None:
-            out = np.empty((2,) + self.shape)
         np.matmul(np.asarray(coef), rows, out=out.reshape(2, -1))
         return (
             np.subtract(out[0], precond, out=out[0]),
