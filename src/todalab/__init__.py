@@ -24,7 +24,7 @@ _EXPORTS = {
             "cartan_su_inverse",
             "lower_bound_condition",
         ),
-        "cli": ("emit_identity_suite", "main", "parse_and_dispatch"),
+        "cli": ("emit_identity_suite", "main"),
         "closed_form": (
             "MassReport",
             "RadialProfile",

@@ -43,7 +43,6 @@ def _callees(*names: str) -> tuple:
 __all__ = [
     "RunConfig",
     "IdentityRow",
-    "parse_and_dispatch",
     "emit_identity_suite",
     "main",
 ]
@@ -176,7 +175,7 @@ class Option:
 OPTIONS: dict[str, tuple[Option, ...]] = {
     "minimize": (
         Option("m", parse_couplings, "3.0pi,3.0pi", "couplings, pi suffix allowed"),
-        Option("n", parse_int, "64", "grid cells per side (power of two)"),
+        Option("n", parse_int, "64", "grid cells per side (power of two, 8 to 2048)"),
         Option("max-iters", parse_int, "2000", "descent iteration budget"),
         Option("grad-tol", parse_float, "1e-6", "stationarity tolerance"),
         Option("seed", parse_int, "0", "rng seed for the smooth start"),
@@ -185,7 +184,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
     "sweep": (
         Option("m-grid", parse_grid_shape, "9x9", "coupling grid shape, e.g. 9x9"),
         Option("range", parse_range, "1pi:5pi", "coupling range lo:hi per axis"),
-        Option("n", parse_int, "64", "grid cells per side (power of two)"),
+        Option("n", parse_int, "64", "grid cells per side (power of two, 8 to 2048)"),
     ),
     "bubble": (
         Option("m", parse_couplings, "3.0pi,3.0pi", "couplings, pi suffix allowed"),
@@ -199,7 +198,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
     ),
     "pohozaev": (
         Option("m", parse_couplings, "3.0pi,3.0pi", "couplings, pi suffix allowed"),
-        Option("n", parse_int, "64", "grid cells per side (power of two)"),
+        Option("n", parse_int, "64", "grid cells per side (power of two, 8 to 2048)"),
         Option("seed", parse_int, "0", "rng seed for the smooth start"),
         Option("center", parse_pair, "0.5,0.5", "disk center in the unit torus"),
         Option("radii", parse_floats, "0.1,0.15,0.2", "disk radii to scan"),
@@ -637,7 +636,7 @@ def _join_dash_values(argv: Sequence[str]) -> list[str]:
     return joined
 
 
-def parse_and_dispatch(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         namespace = parser.parse_args(
@@ -664,7 +663,3 @@ def parse_and_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     _write_manifest(config, time.perf_counter() - started)
     return code
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return parse_and_dispatch(argv)

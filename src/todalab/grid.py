@@ -37,8 +37,9 @@ __all__ = [
 
 
 def _validate_n(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 8 or (n & (n - 1)) != 0:
-        raise ValueError("n must be a power of two ≥ 8")
+    # the cap keeps a rank-2 descent (about 12 field stacks) near 0.8 GB
+    if not isinstance(n, (int, np.integer)) or not 8 <= n <= 2048 or (n & (n - 1)) != 0:
+        raise ValueError("n must be a power of two from 8 to 2048")
 
 
 @dataclass(frozen=True)
@@ -143,12 +144,6 @@ def _inverse_neg_laplacian(
     out and spectrum are as for _apply_symbol.
     """
     return _apply_symbol(values, _inverse_symbol(values.shape[-1]), out, spectrum)
-
-
-def _spatial_gradient(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives (d/dx, d/dy) of each slice."""
-    dx, dy = _derivative_symbols(values.shape[-1])
-    return _apply_symbol(values, dx), _apply_symbol(values, dy)
 
 
 def _log_integral_exp(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

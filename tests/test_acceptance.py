@@ -21,7 +21,7 @@ from todalab.bubbles import (
     fit_slopes,
     standard_bubble,
 )
-from todalab.cli import parse_and_dispatch
+from todalab.cli import main
 from todalab.closed_form import radial_profile
 from todalab.functional import (
     MultiField,
@@ -252,7 +252,7 @@ def test_criterion_11_determinism_of_data_files(tmp_path):
     reports = []
     for name in ("m1", "m2"):
         out = tmp_path / name
-        assert parse_and_dispatch(
+        assert main(
             ["minimize", "--m", "3.0pi,3.0pi", "--n", "64", "--out", str(out)]
         ) == 0
         reports.append((out / "report.json").read_bytes())
@@ -269,7 +269,7 @@ def test_criterion_11_determinism_of_data_files(tmp_path):
     regions = []
     for name in ("s1", "s2"):
         out = tmp_path / name
-        assert parse_and_dispatch(
+        assert main(
             [
                 "sweep",
                 "--m-grid", "9x9",

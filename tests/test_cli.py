@@ -16,7 +16,7 @@ from todalab.cli import (
     IDENTITY_CSV_HEADER,
     _write_json,
     emit_identity_suite,
-    parse_and_dispatch,
+    main,
     parse_couplings,
     parse_grid_shape,
     parse_pi_value,
@@ -30,7 +30,7 @@ PI = np.pi
 
 def run(tmp_path, *args):
     out = tmp_path / "out"
-    code = parse_and_dispatch([*args, "--out", str(out)])
+    code = main([*args, "--out", str(out)])
     return code, out
 
 
@@ -83,10 +83,13 @@ def test_summary_only_drops_field_arrays(tmp_path):
     assert "final_u" not in report
 
 
-def test_bad_grid_size_exits_2(tmp_path, capsys):
-    code, _ = run(tmp_path, "minimize", "--m", "3.0pi,3.0pi", "--n", "63")
+@pytest.mark.parametrize("n", ["63", "4096"])
+def test_bad_grid_size_exits_2(tmp_path, capsys, n):
+    # rejected before the output directory is made or any field allocated
+    code, out = run(tmp_path, "minimize", "--m", "3.0pi,3.0pi", "--n", n)
     assert code == 2
     assert "n must be a power of two" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unbounded_certificate_is_a_result_not_a_failure(tmp_path):
@@ -103,14 +106,12 @@ def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nm = 3.0pi,3.0pi\nn = 32\nseed = 7\n")
     out1 = tmp_path / "o1"
-    assert parse_and_dispatch(
-        ["minimize", "--config", str(cfg), "--out", str(out1)]
-    ) == 0
+    assert main(["minimize", "--config", str(cfg), "--out", str(out1)]) == 0
     man = json.loads((out1 / "manifest.json").read_text())
     assert man["config"]["n"] == "32"
     assert man["config"]["seed"] == "7"
     out2 = tmp_path / "o2"
-    assert parse_and_dispatch(
+    assert main(
         ["minimize", "--config", str(cfg), "--n", "16", "--out", str(out2)]
     ) == 0
     man2 = json.loads((out2 / "manifest.json").read_text())
@@ -120,16 +121,14 @@ def test_config_file_merge_and_flag_override(tmp_path):
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("banana = 3\n")
-    code = parse_and_dispatch(
-        ["minimize", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    )
+    code = main(["minimize", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "unknown config key: banana" in capsys.readouterr().err
 
 
 def test_manifest_config_round_trips_through_parser(tmp_path):
     out1 = tmp_path / "o1"
-    assert parse_and_dispatch(["minimize", "--n", "16", "--out", str(out1)]) == 0
+    assert main(["minimize", "--n", "16", "--out", str(out1)]) == 0
     man = json.loads((out1 / "manifest.json").read_text())
     cfg = tmp_path / "replay.cfg"
     cfg.write_text(
@@ -137,9 +136,7 @@ def test_manifest_config_round_trips_through_parser(tmp_path):
         + "\n"
     )
     out2 = tmp_path / "o2"
-    assert parse_and_dispatch(
-        ["minimize", "--config", str(cfg), "--out", str(out2)]
-    ) == 0
+    assert main(["minimize", "--config", str(cfg), "--out", str(out2)]) == 0
     man2 = json.loads((out2 / "manifest.json").read_text())
     assert {k: v for k, v in man["config"].items() if k != "out"} == {
         k: v for k, v in man2["config"].items() if k != "out"
@@ -150,9 +147,7 @@ def test_repeat_runs_write_identical_bytes(tmp_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert parse_and_dispatch(
-            ["minimize", "--n", "16", "--seed", "3", "--out", str(out)]
-        ) == 0
+        assert main(["minimize", "--n", "16", "--seed", "3", "--out", str(out)]) == 0
         outs.append((out / "report.json").read_bytes())
     assert outs[0] == outs[1]
 
@@ -337,7 +332,7 @@ def test_uncreatable_output_directory_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "integrate_radial", None, raising=False)  # never called
     taken = tmp_path / "taken"
     taken.write_text("")
-    code = parse_and_dispatch(["radial", "--out", str(taken)])
+    code = main(["radial", "--out", str(taken)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot create output directory: ") and err.count("\n") == 1

@@ -71,7 +71,8 @@ def mp_log_integral_exp(values: np.ndarray, h: float) -> float:
 def test_grid_spec_validation():
     GridSpec(8)
     GridSpec(64)
-    for bad in (0, 4, 7, 12, 63, 100):
+    GridSpec(2048)
+    for bad in (0, 4, 7, 12, 63, 100, 4096, 2**20):
         with pytest.raises(ValueError, match="power of two"):
             GridSpec(bad)
 

@@ -1,6 +1,7 @@
 """Disk-balance checks: flat exactness, scaling, refinement, guards."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,20 +261,21 @@ def test_radius_scan_checks_once_and_matches_disk_balance(monkeypatch):
     m = (3 * PI, 2.5 * PI)
     radii = (0.1, 0.15, 0.2, 0.3)
     singles = [disk_balance(u, m, (0.4, 0.6), r) for r in radii]
-    gradient = pohozaev._spatial_gradient
+    apply_symbol = pohozaev._apply_symbol
     calls = []
 
-    def counting_gradient(stacked):
+    def counting_apply_symbol(*args):
         calls.append(1)
-        return gradient(stacked)
+        return apply_symbol(*args)
 
-    monkeypatch.setattr(pohozaev, "_spatial_gradient", counting_gradient)
+    monkeypatch.setattr(pohozaev, "_apply_symbol", counting_apply_symbol)
+    # one transform per derivative, whatever the number of radii
     assert list(radius_scan(u, m, (0.4, 0.6), radii)) == singles
-    assert len(calls) == 1
+    assert len(calls) == 2
     # a bad radius anywhere in the family fails before any disk is evaluated
     with pytest.raises(ValueError, match=r"r must lie in \[4h, 0.4\]"):
         radius_scan(u, m, (0.4, 0.6), (0.1, 0.45))
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_radius_scan_samples_every_field_in_one_call_per_radius(monkeypatch):
@@ -293,6 +295,26 @@ def test_radius_scan_samples_every_field_in_one_call_per_radius(monkeypatch):
     monkeypatch.setattr(pohozaev, "_bilinear", recording_bilinear)
     assert radius_scan(u, m, (0.4, 0.6), radii) == expected
     assert stacks == [(9, 64, 64)] * len(radii)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_radius_scan_at_n256_holds_at_most_six_and_a_half_field_stacks(rank):
+    # exp(u), u and the gradient in one (4, N, n, n) block, plus the
+    # transient of a transform or of |grad u|; concatenated copies of the
+    # fields held 9 to 10 stacks at once
+    spec = GridSpec(256)
+    u = wave_state(spec, 0.3, signs=(1.0, -0.7, 0.4)[:rank])
+    m = (3 * PI,) * rank
+    radii = (0.1, 0.15, 0.2)
+    # the cached derivative symbols at n = 256 are not part of the scan
+    radius_scan(u, m, (0.5, 0.5), radii)
+    tracemalloc.start()
+    try:
+        radius_scan(u, m, (0.5, 0.5), radii)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * rank * spec.n**2 * np.dtype(float).itemsize
 
 
 def test_to_dict_round_trips_fields():
