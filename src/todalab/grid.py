@@ -195,13 +195,11 @@ def random_smooth_field(
     """
     n = spec.n
     white = rng.standard_normal((n, n))
-    fhat = np.fft.rfft2(white)
     kx = np.fft.fftfreq(n, d=1.0 / n)
     ky = np.fft.rfftfreq(n, d=1.0 / n)
-    keep = (np.abs(kx)[:, None] <= k_max) & (ky[None, :] <= k_max)
-    fhat[~keep] = 0.0
-    fhat[0, 0] = 0.0
-    vals = np.fft.irfft2(fhat, s=(n, n))
+    band = (np.abs(kx)[:, None] <= k_max) & (ky[None, :] <= k_max)
+    band[0, 0] = False  # zero mean
+    vals = _apply_symbol(white, band.astype(float))
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals = vals * (amplitude / peak)

@@ -561,22 +561,23 @@ def _classify(
     spec: GridSpec,
     config: Optional[MinimizeConfig] = None,
     relaxed: Optional[set] = None,
-) -> tuple[str, MinimizeReport]:
-    """Classification plus the run that decided it (for sweep rows).
+) -> tuple[str, Optional[MinimizeReport]]:
+    """Classification plus the seeded run that decided it (for sweep rows).
 
-    relaxed holds the mirror keys of bubble-seeded descents known to end
-    Converged (a fresh set when omitted): a seed whose key is in it is
-    skipped, and each seeded descent run here that ends Converged adds its
-    key.  A Converged bubble run never decides a cell, so the deciding run
-    is always computed here, in this cell's own orientation.
+    A cell runs at most six seeded descents.  Bounded comes with no run:
+    its row is the flat state's closed form (see _sweep_orbit).  relaxed
+    holds the mirror keys of seeded descents known to end Converged (a
+    fresh set when omitted): a seed whose key is in it is skipped, and
+    each one run here that ends Converged adds its key.  A Converged run
+    never decides a cell, so the deciding run is computed here, in this
+    cell's own orientation.
     """
     config = config or MinimizeConfig()
     relaxed = set() if relaxed is None else relaxed
     m = _coupling_values(m)
     if len(m) != 2:
         raise ValueError("classification seeds are defined for two components")
-    # the flat field is an exact critical point, so its descent ends Converged
-    reports = [minimize(m, spec, init=MultiField.zeros(spec, 2), config=config)]
+    pending = None
     # large scales sit closest to a blow-up and short-circuit soonest
     for scale in (64.0, 16.0, 4.0):
         for component in (0, 1):
@@ -589,10 +590,10 @@ def _classify(
                 return STATUS_UNBOUNDED, report
             if report.status == STATUS_CONVERGED:
                 relaxed.add(key)
-            reports.append(report)
-    if all(r.status == STATUS_CONVERGED for r in reports):
-        return "Bounded", reports[0]
-    pending = next(r for r in reports if r.status != STATUS_CONVERGED)
+            elif pending is None:
+                pending = report
+    if pending is None:
+        return "Bounded", None
     return "Inconclusive", pending
 
 
@@ -603,11 +604,12 @@ def classify_boundedness(
 ) -> str:
     """Bounded, Unbounded, or Inconclusive at one coupling pair.
 
-    Runs descent from the flat start and from concentrated seeds at
-    scales 4, 16, 64 in each component direction.  Any Unbounded run
-    decides immediately; all-Converged means Bounded; anything else
-    (typically budget-limited relaxation near the threshold) is
-    Inconclusive.  On the diagonal m1 = m2 the two directions mirror each
+    Runs descent from concentrated seeds at scales 4, 16, 64 in each
+    component direction, at most six descents.  Any Unbounded run decides
+    immediately; all-Converged means Bounded; anything else (typically
+    budget-limited relaxation near the threshold) is Inconclusive.  The
+    flat state is a critical point at every coupling, so it needs no
+    descent.  On the diagonal m1 = m2 the two directions mirror each
     other, so a seed that relaxed in one is not run in the other.
     """
     status, _ = _classify(m, spec, config)
@@ -640,17 +642,15 @@ def _sweep_orbit(
     rows = []
     for m1, m2 in cells:
         status, report = _classify((m1, m2), spec, config, relaxed)
-        rows.append(
-            SweepRow(
-                m1=float(m1),
-                m2=float(m2),
-                status=status,
-                energy=report.energy_trace[-1],
-                max_field=report.max_field,
-                conc1=report.concentration[0].mass,
-                conc2=report.concentration[1].mass,
-            )
-        )
+        if report is None:
+            # u = 0 solves the system at every coupling with energy 0, and
+            # each disk holds its own area of the unit density
+            area = float(_disk_symbol(spec.n, MinimizeConfig.concentration_radius)[0, 0])
+            numbers = (0.0, 0.0, area, area)
+        else:
+            spots = report.concentration
+            numbers = (report.energy_trace[-1], report.max_field, spots[0].mass, spots[1].mass)
+        rows.append(SweepRow(float(m1), float(m2), status, *numbers))
     return rows
 
 
@@ -665,15 +665,17 @@ def sweep(
     The cells fall into mirror orbits {(m1, m2), (m2, m1)} by exact float
     equality; a diagonal, unpaired or repeated cell joins the orbit of its
     smaller ordering.  Within an orbit a bubble-seeded descent whose mirror
-    already ended Converged is skipped (see _classify).  The reported
-    energy, max field, and concentrations come from the deciding run, which
-    is always computed in the cell's own orientation: the blow-up run for
-    Unbounded points, the flat-start minimizer for Bounded ones, and the
-    first unfinished run for Inconclusive ones.  So the rows do not depend
-    on how the cells are grouped.  The orbits run on a fork pool with one
-    worker per CPU in the affinity mask, one orbit per task (in-process
-    when that is one CPU or there is one orbit); the same per-orbit code
-    runs either way, so the rows and region.csv keep the same bytes.
+    already ended Converged is skipped (see _classify); a cell runs at most
+    six seeded descents.  The reported energy, max field and concentrations
+    come from the blow-up run for Unbounded points and the first unfinished
+    run for Inconclusive ones, each computed in the cell's own orientation.
+    Bounded points report the flat state's closed form: energy and max
+    field 0 and both disk masses the disk's area.  So the rows do not
+    depend on how the cells are grouped.  The orbits run on a fork pool
+    with one worker per CPU in the affinity mask, one orbit per task
+    (in-process when that is one CPU or there is one orbit); the same
+    per-orbit code runs either way, so the rows and region.csv keep the
+    same bytes.
     """
     if len(couplings) == 0:
         raise ValueError("empty coupling list")

@@ -419,7 +419,7 @@ def test_sweep_range_ends_must_be_couplings(tmp_path, capsys, bounds):
 
 
 def test_sweep_takes_no_seed(tmp_path, capsys):
-    # every classification descent starts from the flat field or a bubble
+    # every classification descent starts from a bubble
     code, out = run(tmp_path, "sweep", "--seed", "3")
     assert code == 2
     assert not out.exists()
@@ -581,6 +581,7 @@ def test_python_dash_m_todalab_runs_the_cli(tmp_path):
     def run(*argv):
         return subprocess.run(
             [sys.executable, "-m", "todalab", *argv],
+            cwd=tmp_path,
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
@@ -596,6 +597,14 @@ def test_python_dash_m_todalab_runs_the_cli(tmp_path):
     assert [line for line in bad.stderr.splitlines() if "error:" in line] == [
         "todalab: error: unrecognized arguments: --no-such-flag"
     ]
+    # no command and an unknown one end in argparse's usage, before any
+    # output directory exists
+    for argv in [(), ("bogus",)]:
+        bad = run(*argv)
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("usage: todalab ")
+        assert len([line for line in bad.stderr.splitlines() if "error:" in line]) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_commands_load_only_their_modules(tmp_path):

@@ -338,3 +338,24 @@ def test_log_integral_exp_into_out_matches_the_allocating_form(rank, n):
     assert np.array_equal(_log_integral_exp(values, np.empty_like(values)), want)
     # the descent passes the values' own buffer
     assert np.array_equal(_log_integral_exp(values, values), want)
+
+
+# ------------------------------------------------------------ random start
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_random_smooth_field_keeps_the_three_step_band_limit(n, seed):
+    # the 0/1 band symbol through the spectral core gives the bytes of the
+    # rfft2 -> zero every mode outside the band and the mean -> irfft2 form
+    k_max, amplitude = 4, 0.5
+    white = np.random.default_rng(seed).standard_normal((n, n))
+    fhat = np.fft.rfft2(white)
+    kx = np.fft.fftfreq(n, d=1.0 / n)
+    ky = np.fft.rfftfreq(n, d=1.0 / n)
+    fhat[~((np.abs(kx)[:, None] <= k_max) & (ky[None, :] <= k_max))] = 0.0
+    fhat[0, 0] = 0.0
+    vals = np.fft.irfft2(fhat, s=(n, n))
+    want = vals * (amplitude / np.max(np.abs(vals)))
+    field = random_smooth_field(GridSpec(n), np.random.default_rng(seed), k_max, amplitude)
+    assert np.array_equal(field.values, want)

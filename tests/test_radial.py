@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import solve_ivp
 
+from todalab._dop853 import integrate
 from todalab.cartan import NumericalError, cartan_su
 from todalab.closed_form import (
     MAX_NODES,
@@ -310,6 +311,31 @@ def test_integrator_matches_solve_ivp_bit_for_bit(run):
         # takes every radius the integrated one does
         exact = radial_profile(sol.a0, run["r_max"], run["nodes"])
         assert ball_pohozaev(exact, sol.r_nodes[1]).r == sol.r_nodes[1]
+
+
+@pytest.mark.parametrize(
+    "y0, slope", [((1.0, -2.0), 0.0), ((0.0, 0.0), 0.0), ((0.0, 0.0), 0.5)]
+)
+def test_integrator_matches_solve_ivp_on_error_free_steps(y0, slope):
+    # a constant derivative gives every step an error estimate of zero:
+    # the first step takes the 1e-6 fallback (and, with y' = 0, the second
+    # fallback too), and each accepted step grows by the largest factor
+    def fun(t, y):
+        return np.full_like(y, slope)
+
+    def never(t, y):
+        return 1.0
+
+    never.terminal = True
+    never.direction = -1.0
+    t_eval = np.linspace(0.0, 5.0, 17)
+    sol = integrate(fun, (0.0, 5.0), np.array(y0), 1e-10, t_eval, never)
+    ref = solve_ivp(fun, (0.0, 5.0), np.array(y0), method="DOP853", rtol=1e-10,
+                    atol=1e-10, t_eval=t_eval, dense_output=True, events=never)
+    assert (sol.status, ref.status) == (0, 0)
+    assert np.array_equal(sol.t, ref.t)
+    assert np.array_equal(sol.y, ref.y)
+    assert np.array_equal(sol.dense(1.3), ref.sol(1.3))
 
 
 @pytest.mark.parametrize("s", [16.0, 20.0, 22.0])

@@ -9,6 +9,8 @@ one short command through them and put the originals back.
 import ast
 import importlib
 import inspect
+import math
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -49,6 +51,33 @@ def test_tracer_wrappers_install_run_and_restore(monkeypatch, tmp_path):
     assert seen.radial["tail"] == 1
     assert sum(seen.status.values()) == 1
     assert seen.command_report is not None
+
+
+def test_traced_descents_are_the_seeded_descents_classify_runs(monkeypatch):
+    # --trace 1 reads minimizer.descents from the wrapped minimize; a
+    # classification runs one descent per bubble seed it builds and no
+    # flat-start descent, so the count is exact
+    tracing = _tracing(monkeypatch)
+    import todalab.minimizer as minimizer
+    from todalab import GridSpec
+
+    seeds = []
+    bubble_seed = minimizer._bubble_seed
+    monkeypatch.setattr(minimizer, "_bubble_seed",
+                        lambda *args: seeds.append(args) or bubble_seed(*args))
+    seen = tracing.Observed()
+    originals = tracing._install(tracing.Tracer(), seen)
+    spec = GridSpec(32)
+    try:
+        # on the diagonal the component-1 seeds mirror the relaxed
+        # component-0 ones and are skipped
+        assert minimizer.classify_boundedness((3 * math.pi, 3 * math.pi), spec) == "Bounded"
+        assert seen.status == Counter(Converged=3) and len(seeds) == 3
+        assert minimizer.classify_boundedness((4.5 * math.pi, 2 * math.pi), spec) == "Unbounded"
+    finally:
+        for module, name, original in originals:
+            setattr(module, name, original)
+    assert seen.status == Counter(Converged=5, Unbounded=1) and len(seeds) == 6
 
 
 def test_tracer_reads_names_that_exist(monkeypatch):
