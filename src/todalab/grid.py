@@ -16,8 +16,10 @@ disk-balance derivatives are all built on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -37,7 +39,7 @@ __all__ = [
 
 
 def _validate_n(n: int) -> None:
-    # the cap keeps a rank-2 descent (about 12 field stacks) near 0.8 GB
+    # the cap keeps a rank-2 descent (about 10 field stacks) near 0.7 GB
     if not isinstance(n, (int, np.integer)) or not 8 <= n <= 2048 or (n & (n - 1)) != 0:
         raise ValueError("n must be a power of two from 8 to 2048")
 
@@ -109,14 +111,24 @@ def _apply_symbol(
     """irfft2(symbol * rfft2(values)) over the last two axes of a stack.
 
     out and spectrum, when given, receive the result and the rfft2 half
-    spectrum, so a caller that owns both allocates nothing here.  The
-    inverse runs as irfft2 does, an ifft over axis -2 and an irfft over
-    axis -1, but in place: numpy's irfft2 ignores its out argument.
+    spectrum, so a caller that owns both allocates nothing here.
     """
     hat = np.fft.rfft2(values, axes=(-2, -1), out=spectrum)
     np.multiply(symbol, hat, out=hat)
+    return _inverse_transform(hat, values.shape[-1], out)
+
+
+def _inverse_transform(
+    hat: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """irfft2 of an rfft2 half spectrum over its last two axes, into out.
+
+    It runs as irfft2 does, an ifft over axis -2 and an irfft over axis
+    -1, but the ifft overwrites hat: numpy's irfft2 ignores its out
+    argument.
+    """
     np.fft.ifft(hat, axis=-2, out=hat)
-    return np.fft.irfft(hat, n=values.shape[-1], axis=-1, out=out)
+    return np.fft.irfft(hat, n=n, axis=-1, out=out)
 
 
 def _centered(values: np.ndarray) -> np.ndarray:
@@ -186,23 +198,45 @@ def sample_function(spec: GridSpec, fn) -> ScalarField:
 
 
 def random_smooth_field(
-    spec: GridSpec, rng: np.random.Generator, k_max: int = 4, amplitude: float = 0.5
+    spec: GridSpec, rng, k_max: int = 4, amplitude: float = 0.5
 ) -> ScalarField:
-    """Band-limited Gaussian noise: modes with max(|k1|,|k2|) <= k_max.
+    """One random smooth function on the band |k1| <= k_max, 0 <= k2 <= k_max.
 
-    The result has zero mean and is rescaled so its max absolute value
-    equals `amplitude`, which keeps test fields well resolved.
+    The band's coefficients c_k, k != 0, are complex standard normals
+    drawn in a fixed order (k1 outer, k2 inner), each from two
+    rng.random() calls by the Box-Muller transform; rng is anything with
+    a random() method returning floats in [0, 1), such as random.Random
+    or a numpy Generator.  Each c_k is added at the rfft2 half-spectrum
+    slot (k1 mod n, k2), so modes that alias when n <= 2 k_max fold
+    together, and one inverse transform gives the samples.  A seed thus
+    names one smooth function, the same at every n > 2 k_max up to the
+    scale: the result has zero mean and is rescaled so its max absolute
+    value on the grid equals `amplitude`, which keeps test fields well
+    resolved.  k_max must be an integer from 1 to n/2, and amplitude
+    positive and finite.
     """
     n = spec.n
-    white = rng.standard_normal((n, n))
-    kx = np.fft.fftfreq(n, d=1.0 / n)
-    ky = np.fft.rfftfreq(n, d=1.0 / n)
-    band = (np.abs(kx)[:, None] <= k_max) & (ky[None, :] <= k_max)
-    band[0, 0] = False  # zero mean
-    vals = _apply_symbol(white, band.astype(float))
+    # bool subclasses int; the band's k2 must fit the n/2 + 1 columns
+    if isinstance(k_max, bool) or not isinstance(k_max, Integral):
+        raise ValueError("k_max must be an integer")
+    if not 1 <= k_max <= n // 2:
+        raise ValueError("k_max must lie from 1 to n/2")
+    # written so that NaN fails too
+    if isinstance(amplitude, bool) or not isinstance(amplitude, Real):
+        raise ValueError("amplitude must be a number")
+    if not 0 < amplitude < math.inf:
+        raise ValueError("amplitude must be positive and finite")
+    hat = np.zeros((n, n // 2 + 1), dtype=complex)
+    for k1 in range(-k_max, k_max + 1):
+        for k2 in range(k_max + 1):
+            if k1 or k2:
+                radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+                angle = 2.0 * math.pi * rng.random()
+                hat[k1 % n, k2] += complex(radius * math.cos(angle), radius * math.sin(angle))
+    vals = _inverse_transform(hat, n)
     peak = np.max(np.abs(vals))
     if peak > 0:
-        vals = vals * (amplitude / peak)
+        vals *= amplitude / peak
     return ScalarField(spec, vals)
 
 

@@ -32,12 +32,16 @@ writes (the raw gradient, the source, P g and -lap P g, the direction
 and -lap d, w = A d, the line-search growth, one scratch array and the
 rfft half spectrum) lives in one workspace allocated before the first
 iteration and rewritten in place, through ufunc out= and the out
-arguments of the spectral and mixing kernels.  Without a history the
-direction -P g overwrites P g; with one, the arrays that push reads from
-the previous iterate sit in a second buffer set, and the two sets swap
-at each accepted step.  The workspace is freed before the report's
-fields, residuals and final detector are built, so a descent at n = 256
-holds about 12 field stacks at its peak.
+arguments of the spectral and mixing kernels.  Two of them share
+memory with arrays that are dead while they live: w overwrites the
+source once its mean is taken, and the growth is a real view over the
+half spectrum, which no transform uses between the preconditioner and
+the detector.  Without a history the direction -P g overwrites P g;
+with one, the arrays that push reads from the previous iterate sit in
+a second buffer set, and the two sets swap at each accepted step.  The
+workspace is freed before the report's fields, residuals and final
+detector are built, so a descent at n = 256 holds about 10 field
+stacks at its peak.
 
 A run that ends far below its starting energy with more than 0.9 of
 one component's normalized mass inside a disk of radius 0.05 (fixed) is
@@ -63,6 +67,7 @@ affinity mask; each orbit runs the same code as in-process.
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import astuple, dataclass
 from functools import partial
 from numbers import Integral, Real
@@ -297,20 +302,24 @@ def minimize(
     """Preconditioned descent from init (random smooth start if omitted).
 
     The init is interpreted in the abstract parametrization the descent
-    runs in.  Termination is classified Unbounded when the final energy
-    sits more than divergence_energy_drop below the initial one AND some
-    component concentrates past concentration_mass within
-    concentration_radius; otherwise Converged when the preconditioned
-    gradient norm is under grad_tol (with raw component norms under ten
-    times that, which pins the stationarity residuals of the normalized
-    output); otherwise Budget.
+    runs in.  The random start draws its components in turn from
+    random.Random(config.seed) through random_smooth_field, on the band
+    k_max = 4, so a seed names one smooth function per component, the
+    same at every n > 8 up to its grid-max scaling.  Termination is
+    classified Unbounded when the final energy sits more than
+    divergence_energy_drop below the initial one AND some component
+    concentrates past concentration_mass within concentration_radius;
+    otherwise Converged when the preconditioned gradient norm is under
+    grad_tol (with raw component norms under ten times that, which pins
+    the stationarity residuals of the normalized output); otherwise
+    Budget.
     """
     config = config or MinimizeConfig()
     mv = _check_couplings(m)
     rank = len(mv)
 
     if init is None:
-        rng = np.random.default_rng(config.seed)
+        rng = random.Random(config.seed)
         v_stack = np.stack(
             [random_smooth_field(spec, rng).values for _ in range(rank)]
         )
@@ -399,8 +408,11 @@ def _descend(
         precond_pair = np.empty((2,) + shape)
         direction_pair = np.empty((2,) + shape) if pairs else precond_pair
         sets.append((np.empty(shape), precond_pair, direction_pair))
-    source_buf, w_buf, growth, scratch = (np.empty(shape) for _ in range(4))
+    source_buf, scratch = np.empty(shape), np.empty(shape)
     spectrum = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    # the line search's exp growth lives in the half spectrum's first N n^2
+    # doubles: the preconditioner is done with it, the detector not yet begun
+    growth = spectrum.view(float).reshape(-1)[: v0.size].reshape(shape)
 
     for _ in range(config.max_iters):
         raw_buf, precond_pair, direction_pair = sets[0]
@@ -450,7 +462,7 @@ def _descend(
         # along v0 + s d the energy changes by
         #   s b1 + s^2 b2 - sum_i m_i log1p(h^2 sum rho_i expm1(s w_i)),  w = A d,
         # which needs no transform and subtracts no two large energies
-        w = _mix(amat, direction, w_buf)
+        w = _mix(amat, direction, source)  # the source is dead past its mean
         # once a density has underflowed, the multiplicative update has lost
         # weight that a later step may raise again, and log1p(masses) loses
         # digits as the mass leaves its cells; the change of log int exp(u)

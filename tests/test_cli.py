@@ -637,6 +637,35 @@ def test_commands_load_only_their_modules(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--n", "16"],
+    ["pohozaev", "--n", "16", "--radii", "0.25"],
+    ["sweep", "--m-grid", "2x2", "--n", "16"],
+    ["identities"],
+    ["radial"],
+    ["bubble"],
+])
+def test_no_command_loads_numpy_random(tmp_path, argv):
+    # the random start draws from the standard library's random.Random;
+    # numpy.random would import secrets, hashlib and OpenSSL for it
+    script = "\n".join([
+        "import sys",
+        "from todalab.cli import main",
+        f"assert main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0",
+        "loaded = [name for name in ('numpy.random', 'secrets') if name in sys.modules]",
+        "assert not loaded, loaded",
+    ])
+    src = Path(todalab.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_lazy_names_are_their_submodules_objects():
     import importlib
 

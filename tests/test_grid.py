@@ -1,6 +1,7 @@
 """Checks for the periodic grid calculus against independent oracles."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -343,19 +344,62 @@ def test_log_integral_exp_into_out_matches_the_allocating_form(rank, n):
 # ------------------------------------------------------------ random start
 
 
+def band_draw(n, rng, k_max, amplitude):
+    """The start written out: Box-Muller coefficients folded into rfft2 slots."""
+    hat = np.zeros((n, n // 2 + 1), dtype=complex)
+    for k1 in range(-k_max, k_max + 1):
+        for k2 in range(k_max + 1):
+            if (k1, k2) == (0, 0):
+                continue
+            radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+            angle = 2.0 * math.pi * rng.random()
+            hat[k1 % n, k2] += complex(radius * math.cos(angle), radius * math.sin(angle))
+    vals = np.fft.irfft2(hat, s=(n, n))
+    return vals * (amplitude / np.max(np.abs(vals)))
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("n", [8, 64, 256])
 def test_random_smooth_field_keeps_the_three_step_band_limit(n, seed):
-    # the 0/1 band symbol through the spectral core gives the bytes of the
-    # rfft2 -> zero every mode outside the band and the mean -> irfft2 form
+    # draw the band's coefficients (k1 outer, k2 inner, two random() calls
+    # each), fold them into their rfft2 slots (at n = 8 the rows k1 = 4
+    # and -4 share one), then one irfft2 and the grid-max scaling
     k_max, amplitude = 4, 0.5
-    white = np.random.default_rng(seed).standard_normal((n, n))
-    fhat = np.fft.rfft2(white)
-    kx = np.fft.fftfreq(n, d=1.0 / n)
-    ky = np.fft.rfftfreq(n, d=1.0 / n)
-    fhat[~((np.abs(kx)[:, None] <= k_max) & (ky[None, :] <= k_max))] = 0.0
-    fhat[0, 0] = 0.0
-    vals = np.fft.irfft2(fhat, s=(n, n))
-    want = vals * (amplitude / np.max(np.abs(vals)))
-    field = random_smooth_field(GridSpec(n), np.random.default_rng(seed), k_max, amplitude)
-    assert np.array_equal(field.values, want)
+    for make_rng in (random.Random, np.random.default_rng):
+        want = band_draw(n, make_rng(seed), k_max, amplitude)
+        field = random_smooth_field(GridSpec(n), make_rng(seed), k_max, amplitude)
+        assert np.array_equal(field.values, want)
+        assert abs(np.mean(field.values)) < 1e-15
+
+
+@pytest.mark.parametrize("make_rng", [random.Random, np.random.default_rng])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_a_seed_gives_one_function_at_every_grid_size(n, seed, make_rng):
+    # the band fits both grids, so the coarse samples are the fine ones
+    # up to the grid-max scaling, which the finer grid can only raise
+    coarse = random_smooth_field(GridSpec(n), make_rng(seed)).values
+    fine = random_smooth_field(GridSpec(2 * n), make_rng(seed)).values[::2, ::2]
+    ratio = np.sum(fine * coarse) / np.sum(coarse * coarse)
+    assert 0.5 < ratio < 1.0 + 1e-13
+    assert np.linalg.norm(fine - ratio * coarse) <= 1e-13 * np.linalg.norm(fine)
+
+
+@pytest.mark.parametrize("k_max, message", [
+    (-1, "from 1 to n/2"), (0, "from 1 to n/2"), (9, "from 1 to n/2"),
+    (2.0, "integer"), (True, "integer"), ("4", "integer"),
+])
+def test_random_smooth_field_rejects_a_bad_band(k_max, message):
+    # k_max = -1 used to give a zero field; past n/2 the band's k2 would
+    # leave the half spectrum
+    with pytest.raises(ValueError, match=message):
+        random_smooth_field(GridSpec(16), random.Random(0), k_max=k_max)
+
+
+@pytest.mark.parametrize("amplitude, message", [
+    (0.0, "positive"), (-0.5, "positive"), (math.nan, "positive"), (math.inf, "positive"),
+    (True, "number"), (None, "number"),
+])
+def test_random_smooth_field_rejects_a_bad_amplitude(amplitude, message):
+    with pytest.raises(ValueError, match=message):
+        random_smooth_field(GridSpec(16), random.Random(0), amplitude=amplitude)

@@ -585,8 +585,8 @@ def test_history_fits_its_byte_budget(monkeypatch, n, pairs):
     ((3.9 * PI,) * 3, MinimizeConfig(max_iters=5)),
 ])
 def test_descent_at_n256_holds_at_most_thirteen_field_stacks(m, config):
-    # the loop state (v0, u, -lap v0, rho) and a workspace of eight arrays
-    # come to about 12 (N, n, n) stacks; allocating in every iteration
+    # the loop state (v0, u, -lap v0, rho) and a workspace of six arrays
+    # come to about 10 (N, n, n) stacks; allocating in every iteration
     # held 22 at once
     spec = GridSpec(256)
     # the cached symbols at n = 256 are not part of the descent
@@ -599,6 +599,42 @@ def test_descent_at_n256_holds_at_most_thirteen_field_stacks(m, config):
         tracemalloc.stop()
     assert report.iterations >= 5
     assert peak <= 13 * len(m) * spec.n**2 * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("m, config", [
+    ((2.04 * PI, 2.13 * PI), MinimizeConfig(seed=447)),
+    ((3.9 * PI,) * 3, MinimizeConfig(max_iters=5)),
+])
+def test_descent_at_n256_shares_the_source_and_spectrum_buffers(m, config):
+    # w = A d overwrites the source and the line-search growth lives in the
+    # half spectrum, so the workspace is six arrays, not eight: 12.1 stacks
+    # fall to 10.1
+    spec = GridSpec(256)
+    minimize((2 * PI, 2 * PI), spec, config=MinimizeConfig(max_iters=1))
+    tracemalloc.start()
+    try:
+        report = minimize(m, spec, config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterations >= 5
+    assert peak <= 10.5 * len(m) * spec.n**2 * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("m, n, status, iterations, energy_hex", [
+    # with a history, ended by the detector, which reuses the spectrum
+    ((4.5 * PI, 3 * PI), 64, "Unbounded", 6, "-0x1.e2fafa8db07a6p+2"),
+    ((3 * PI, 2 * PI), 64, "Converged", 12, "0x1.3fb2f29b5c700p-45"),
+    # no history at n = 256
+    ((2.3 * PI, 2.2 * PI), 256, "Converged", 15, "0x1.e7202d4c4ad44p-48"),
+])
+def test_seeded_descents_keep_their_last_bits(m, n, status, iterations, energy_hex):
+    # recorded before the workspace shared any buffer: the sharing only
+    # aliases memory and changes no operation
+    spec = GridSpec(n)
+    report = minimize(m, spec, init=v_from_u(_bubble_seed(spec, 16.0, 0)))
+    assert (report.status, report.iterations) == (status, iterations)
+    assert report.energy_trace[-1].hex() == energy_hex
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,8 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -27,7 +29,8 @@ def test_tracer_wrappers_install_run_and_restore(monkeypatch, tmp_path):
     import todalab.radial as radial
 
     seen = tracing.Observed()
-    originals = tracing._install(tracing.Tracer(), seen)
+    tracer = tracing.Tracer()
+    originals = tracing._install(tracer, seen)
     try:
         for module, name, original in originals:
             assert getattr(module, name) is not original
@@ -51,6 +54,23 @@ def test_tracer_wrappers_install_run_and_restore(monkeypatch, tmp_path):
     assert seen.radial["tail"] == 1
     assert sum(seen.status.values()) == 1
     assert seen.command_report is not None
+    # the random start goes through the wrapped name, once per component,
+    # so grid.random_smooth_field_s does not read 0
+    calls = tracer.table()["grid.random_smooth_field"]["calls"]
+    assert calls == seen.command_report.final_u.n_components
+
+
+def test_kernel_timings_start_takes_a_numpy_generator(monkeypatch):
+    # kernel_timings draws its fields from numpy Generators; the start
+    # needs only a random() method
+    import numpy as np
+    from todalab import GridSpec, random_smooth_field
+
+    tracing = _tracing(monkeypatch)
+    for n in tracing.MICRO_GRID_SIZES:
+        field = random_smooth_field(GridSpec(n), np.random.default_rng(n))
+        assert np.max(np.abs(field.values)) == pytest.approx(0.5, rel=1e-15)
+        assert abs(np.mean(field.values)) < 1e-15
 
 
 def test_traced_descents_are_the_seeded_descents_classify_runs(monkeypatch):
