@@ -100,7 +100,8 @@ def _coupling_values(m: Sequence[float], rank: Optional[int] = None) -> tuple[fl
         values = list(m)
     except TypeError:  # a bare number
         values = None
-    if values is None or not all(isinstance(v, Real) for v in values):
+    # bool subclasses int, but True is not a coupling
+    if values is None or any(isinstance(v, bool) or not isinstance(v, Real) for v in values):
         raise ValueError("couplings must be a sequence of numbers")
     if not values:
         raise ValueError("coupling vector must be nonempty")

@@ -132,14 +132,15 @@ def _check_settings(a0: Sequence[float], r_max: float, nodes: int) -> tuple[floa
     The radial integrator applies the same rules.
     """
     try:
-        start = tuple(float(v) if isinstance(v, Real) else math.nan for v in a0)
+        start = tuple(math.nan if isinstance(v, bool) or not isinstance(v, Real) else float(v)
+                      for v in a0)
     except TypeError:
         start = ()
     if not start or not all(math.isfinite(v) for v in start):
         raise ValueError("initial values must be a finite vector")
     if not (math.isfinite(r_max) and r_max >= 10.0):
         raise ValueError("r_max must be at least 10 and finite")
-    if not isinstance(nodes, Integral):
+    if isinstance(nodes, bool) or not isinstance(nodes, Integral):
         raise ValueError("nodes must be an integer")
     if nodes < 16:
         raise ValueError("nodes must be at least 16")

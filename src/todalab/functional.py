@@ -27,7 +27,7 @@ formula for the same number.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -138,9 +138,6 @@ class EnergyBreakdown:
     @property
     def total(self) -> float:
         return self.quadratic + self.linear + self.entropy
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "total": self.total}
 
 
 class Evaluation(NamedTuple):

@@ -43,10 +43,12 @@ workspace is freed before the report's fields, residuals and final
 detector are built, so a descent at n = 256 holds about 10 field
 stacks at its peak.
 
-A run that ends far below its starting energy with more than 0.9 of
-one component's normalized mass inside a disk of radius 0.05 (fixed) is
-reported Unbounded; this conjunction separates genuine concentration
-from the benign energy drops of relaxing a poorly chosen start.  The
+A descent ends Converged under the gradient tolerance, Stalled when no
+step above the floating-point floor lowers the energy, Budget after
+max_iters steps, or Unbounded far below its starting energy with more
+than 0.9 of one component's normalized mass inside a disk of radius
+0.05 (fixed); this conjunction separates genuine concentration from
+the benign energy drops of relaxing a poorly chosen start.  The
 disk masses at all centers come from one FFT correlation with a cached
 disk-mask spectrum; ties go to the lexicographically smallest center.
 Inside the descent the detector runs only when the peak density times
@@ -113,6 +115,7 @@ __all__ = [
 
 STATUS_CONVERGED = "Converged"
 STATUS_UNBOUNDED = "Unbounded"
+STATUS_STALLED = "Stalled"
 STATUS_BUDGET = "Budget"
 
 ARMIJO_C1 = 1e-4
@@ -182,7 +185,10 @@ class MinimizeReport:
     el_residuals: tuple[float, ...]
     max_field: float
     concentration: tuple[ConcentrationSpot, ...]
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.energy_trace) - 1
 
     def to_dict(self, include_fields: bool = True) -> dict:
         out = {
@@ -215,7 +221,6 @@ class _History:
 
     def __init__(self, size: int, shape: tuple[int, ...]):
         self.size = size
-        self.shape = shape
         self.stack = np.zeros((2, size, 2) + shape)
         self.sy = np.zeros((size, size))
         self.ypy = np.zeros((size, size))
@@ -305,14 +310,16 @@ def minimize(
     runs in.  The random start draws its components in turn from
     random.Random(config.seed) through random_smooth_field, on the band
     k_max = 4, so a seed names one smooth function per component, the
-    same at every n > 8 up to its grid-max scaling.  Termination is
-    classified Unbounded when the final energy sits more than
-    divergence_energy_drop below the initial one AND some component
+    same at every n > 8 up to its grid-max scaling.  The status says how
+    the descent ended: Unbounded once an accepted state sits more than
+    divergence_energy_drop below the start AND some component
     concentrates past concentration_mass within concentration_radius;
-    otherwise Converged when the preconditioned gradient norm is under
-    grad_tol (with raw component norms under ten times that, which pins
-    the stationarity residuals of the normalized output); otherwise
-    Budget.
+    Converged when the preconditioned gradient norm is under grad_tol
+    (with raw component norms under ten times that, which pins the
+    stationarity residuals of the normalized output); Stalled at the
+    floating-point floor, where no direction descends or no step above
+    1e-16 times the first trial step passes the Armijo test; Budget after
+    max_iters steps.
     """
     config = config or MinimizeConfig()
     mv = _check_couplings(m)
@@ -337,24 +344,16 @@ def minimize(
     # one place a non-finite value can enter
     if not np.isfinite(trace[0]):
         raise NumericalError("non-finite energy at iteration 0")
-    converged, certified = _descend(start, mv, spec, config, trace)
+    status, spots = _descend(start, mv, spec, config, trace)
     # the descent's workspace is gone; of the start only the final u,
     # log int exp(u) and densities are still needed
     u, lse, rho = start.u, start.lse, start.rho
     del start
     u -= lse[:, None, None]  # normalized: int exp(u_i) = 1
     final_u = MultiField(tuple(ScalarField(spec, comp) for comp in u))
-    spots = certified or _concentration_from_density(
-        rho, spec, config.concentration_radius
-    )
+    # only an Unbounded run comes with its certificate's spots
+    spots = spots or _concentration_from_density(rho, spec, config.concentration_radius)
     del rho
-    # every accepted state met the certificate's test in the loop
-    if certified:
-        status = STATUS_UNBOUNDED
-    elif converged:
-        status = STATUS_CONVERGED
-    else:
-        status = STATUS_BUDGET
     residuals = tuple(float(r) for r in euler_lagrange_residuals(final_u, mv))
     return MinimizeReport(
         status=status,
@@ -363,7 +362,6 @@ def minimize(
         el_residuals=residuals,
         max_field=float(u.max()),
         concentration=spots,
-        iterations=len(trace) - 1,
     )
 
 
@@ -373,8 +371,8 @@ def _descend(
     spec: GridSpec,
     config: MinimizeConfig,
     trace: list[float],
-) -> tuple[bool, Optional[tuple[ConcentrationSpot, ...]]]:
-    """The descent loop from an evaluated start: (converged, certified spots).
+) -> tuple[str, Optional[tuple[ConcentrationSpot, ...]]]:
+    """The descent loop from an evaluated start: (status, certified spots or None).
 
     Each accepted step updates the start's arrays in place and appends
     its energy to trace.  Every (N, n, n) array the loop writes lives in
@@ -435,7 +433,7 @@ def _descend(
         if precond_norm < config.grad_tol and np.all(
             raw_norms < 10.0 * config.grad_tol
         ):
-            return True, None
+            return STATUS_CONVERGED, None
 
         # precond = v0 + (-lap)^-1 source, so -lap precond = -lap v0 + source - mean(source)
         neglap_precond = precond_pair[1]
@@ -455,7 +453,7 @@ def _descend(
             neglap_d = np.negative(neglap_precond, out=direction_pair[1])
             slope = cell_area * float(np.sum(np.multiply(raw, direction, out=scratch)))
         if not slope < 0:
-            break  # numerical floor: no descent available
+            return STATUS_STALLED, None  # no direction descends
         if history.order:
             step = 1.0  # a quasi-Newton step is scaled already
 
@@ -489,7 +487,7 @@ def _descend(
                 break
             step *= BACKTRACK
         else:
-            break  # no acceptable step above the floor
+            return STATUS_STALLED, None  # no acceptable step above the floor
         v0 += np.multiply(step, direction, out=scratch)
         u += np.multiply(step, w, out=scratch)
         neglap += np.multiply(step, neglap_d, out=scratch)
@@ -513,8 +511,8 @@ def _descend(
                 rho, spec, config.concentration_radius, scratch, spectrum
             )
             if any(s.mass > config.concentration_mass for s in spots):
-                return False, spots
-    return False, None
+                return STATUS_UNBOUNDED, spots
+    return STATUS_BUDGET, None
 
 
 def _concentration_from_density(
@@ -619,10 +617,11 @@ def classify_boundedness(
     Runs descent from concentrated seeds at scales 4, 16, 64 in each
     component direction, at most six descents.  Any Unbounded run decides
     immediately; all-Converged means Bounded; anything else (typically
-    budget-limited relaxation near the threshold) is Inconclusive.  The
-    flat state is a critical point at every coupling, so it needs no
-    descent.  On the diagonal m1 = m2 the two directions mirror each
-    other, so a seed that relaxed in one is not run in the other.
+    budget-limited or stalled relaxation near the threshold) is
+    Inconclusive.  The flat state is a critical point at every coupling,
+    so it needs no descent.  On the diagonal m1 = m2 the two directions
+    mirror each other, so a seed that relaxed in one is not run in the
+    other.
     """
     status, _ = _classify(m, spec, config)
     return status

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import random_pair
 from todalab.bubbles import (
     BubbleParams,
     asymptotic_slope_table,
@@ -31,7 +32,7 @@ from todalab.functional import (
     u_from_v,
     v_from_u,
 )
-from todalab.grid import GridSpec, ScalarField, integral, random_smooth_field
+from todalab.grid import GridSpec, ScalarField, integral
 from todalab.minimizer import (
     MinimizeConfig,
     classify_boundedness,
@@ -49,16 +50,6 @@ from todalab.radial import (
 PI = np.pi
 FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
-
-
-def random_pair(spec, seed, amplitude=0.5):
-    rng = np.random.default_rng(seed)
-    return MultiField(
-        (
-            random_smooth_field(spec, rng, k_max=4, amplitude=amplitude),
-            random_smooth_field(spec, rng, k_max=4, amplitude=amplitude),
-        )
-    )
 
 
 def test_criterion_01_gradient_matches_central_differences():

@@ -69,6 +69,7 @@ def test_a_bare_number_where_a_vector_belongs_is_a_value_error():
     from todalab.grid import GridSpec
     from todalab.minimizer import classify_boundedness, minimize, sweep
     from todalab.pohozaev import radius_scan
+    from todalab.radial import integrate_radial
 
     spec = GridSpec(16)
     flat = MultiField.zeros(spec, 1)
@@ -84,6 +85,14 @@ def test_a_bare_number_where_a_vector_belongs_is_a_value_error():
         (lambda: energy(flat, 3.0), numbers),
         (lambda: radius_scan(flat, 3.0, (0.5, 0.5), (0.3,)), numbers),
         (lambda: radial_profile(0.0), "initial values must be a finite vector"),
+        # bool subclasses int, but True is neither a coupling nor a value
+        (lambda: lower_bound_condition((True, 3.0)), numbers),
+        (lambda: minimize((True, 3.0), spec), numbers),
+        (lambda: sweep([(3.0, False)], spec), numbers),
+        (lambda: radial_profile((True, 0.0)), "initial values must be a finite vector"),
+        (lambda: integrate_radial((0.0, False)), "initial values must be a finite vector"),
+        (lambda: radial_profile((0.0, 0.0), nodes=True), "nodes must be an integer"),
+        (lambda: integrate_radial((0.0, 0.0), nodes=True), "nodes must be an integer"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError, match=message):

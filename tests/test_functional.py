@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
+from helpers import random_pair
 from todalab.cartan import cartan_su
 from todalab.functional import (
     MultiField,
@@ -31,16 +32,6 @@ PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
-def pair_of_random_fields(spec, seed, amplitude=0.5):
-    rng = np.random.default_rng(seed)
-    return MultiField(
-        (
-            random_smooth_field(spec, rng, k_max=4, amplitude=amplitude),
-            random_smooth_field(spec, rng, k_max=4, amplitude=amplitude),
-        )
-    )
-
-
 # ------------------------------------------------------- parametrizations
 
 
@@ -55,7 +46,7 @@ def test_u_from_v_componentwise():
 
 def test_parametrization_roundtrip():
     spec = GridSpec(16)
-    v = pair_of_random_fields(spec, 3)
+    v = random_pair(spec, 3)
     back = v_from_u(u_from_v(v))
     for a, b in zip(back.components, v.components):
         assert np.max(np.abs(a.values - b.values)) < 1e-13
@@ -145,7 +136,7 @@ def test_second_variation_of_the_flat_state_in_closed_form(rank):
 def test_energy_u_quadratic_coefficients_rank_two():
     # in the u-form the three gradient pairings enter with weight 1/3 each
     spec = GridSpec(64)
-    u = pair_of_random_fields(spec, 8)
+    u = random_pair(spec, 8)
     e = energy_u(u, [PI, PI])
     d11 = dirichlet_pairing(u.components[0], u.components[0])
     d22 = dirichlet_pairing(u.components[1], u.components[1])
@@ -157,7 +148,7 @@ def test_energy_agrees_across_parametrizations():
     spec = GridSpec(32)
     m = (3 * PI, 2.5 * PI)
     for seed in range(5):
-        v = pair_of_random_fields(spec, seed)
+        v = random_pair(spec, seed)
         ev = energy(v, m)
         eu = energy_u(u_from_v(v), m)
         assert abs(ev.total - eu.total) < 1e-10
@@ -180,7 +171,7 @@ def test_energy_agrees_across_parametrizations_rank_three():
 def test_energy_gauge_invariance():
     spec = GridSpec(32)
     m = (4 * PI, PI)
-    v = pair_of_random_fields(spec, 21)
+    v = random_pair(spec, 21)
     shifted = MultiField(
         tuple(
             ScalarField(spec, c.values + const)
@@ -188,14 +179,6 @@ def test_energy_gauge_invariance():
         )
     )
     assert abs(energy(shifted, m).total - energy(v, m).total) < 1e-10
-
-
-def test_energy_breakdown_json_keys():
-    spec = GridSpec(16)
-    e = energy(MultiField.zeros(spec, 2), [PI, PI])
-    d = e.to_dict()
-    assert set(d) == {"quadratic", "linear", "entropy", "total"}
-    assert d["total"] == e.total
 
 
 # --------------------------------------------------------------- gradient
@@ -214,8 +197,8 @@ def test_gradient_matches_central_differences():
     t = 1e-5
     worst = 0.0
     for seed in range(6):
-        v = pair_of_random_fields(spec, seed)
-        w = pair_of_random_fields(spec, 100 + seed, amplitude=1.0)
+        v = random_pair(spec, seed)
+        w = random_pair(spec, 100 + seed, amplitude=1.0)
         g = energy_gradient(v, m)
         directional = sum(
             integral(ScalarField(spec, gc.values * wc.values))
@@ -240,7 +223,7 @@ def test_gradient_matches_central_differences():
 
 def test_gradient_components_have_zero_mean():
     spec = GridSpec(32)
-    v = pair_of_random_fields(spec, 33)
+    v = random_pair(spec, 33)
     g = energy_gradient(v, [5 * PI, 2 * PI])
     for c in g.components:
         assert abs(np.mean(c.values)) < 1e-13
@@ -271,7 +254,7 @@ def test_preconditioner_inverts_smoothing_direction():
     # preconditioning the gradient of the pure quadratic part recovers the
     # zero-mean field itself: P K (-lap v) = v for zero-mean v
     spec = GridSpec(32)
-    v = pair_of_random_fields(spec, 55)
+    v = random_pair(spec, 55)
     quad_grad = []
     k = cartan_su(2)
     from todalab.grid import laplacian
@@ -347,7 +330,7 @@ def test_el_residual_matches_analytic_assembly():
 
 def test_normalize_components():
     spec = GridSpec(32)
-    raw = pair_of_random_fields(spec, 71, amplitude=1.5)
+    raw = random_pair(spec, 71, amplitude=1.5)
     u = normalize_components(raw)
     from todalab.grid import log_integral_exp
 

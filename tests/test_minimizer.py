@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import random_pair
 from todalab.bubbles import BubbleParams, standard_bubble
 from todalab.cartan import NumericalError, cartan_su, cartan_su_inverse
 from todalab.functional import (
@@ -56,16 +57,6 @@ from todalab.minimizer import (
 )
 
 PI = np.pi
-
-
-def random_init(spec, seed, amplitude=0.5):
-    rng = np.random.default_rng(seed)
-    return MultiField(
-        (
-            random_smooth_field(spec, rng, k_max=4, amplitude=amplitude),
-            random_smooth_field(spec, rng, k_max=4, amplitude=amplitude),
-        )
-    )
 
 
 def normalized_from_density(spec, density):
@@ -187,7 +178,7 @@ def test_zero_init_is_an_exact_critical_point(k):
 
 def test_random_init_converges_below_threshold():
     spec = GridSpec(64)
-    report = minimize((3 * PI, 3 * PI), spec, init=random_init(spec, 11))
+    report = minimize((3 * PI, 3 * PI), spec, init=random_pair(spec, 11))
     assert report.status == "Converged"
     assert all(r < 10 * MinimizeConfig().grad_tol for r in report.el_residuals)
     trace = np.asarray(report.energy_trace)
@@ -201,7 +192,7 @@ def test_random_init_converges_below_threshold():
 
 def test_weak_coupling_relaxes_to_flat():
     spec = GridSpec(32)
-    report = minimize((0.01, 0.01), spec, init=random_init(spec, 3, amplitude=0.2))
+    report = minimize((0.01, 0.01), spec, init=random_pair(spec, 3, amplitude=0.2))
     assert report.status == "Converged"
     assert abs(report.energy_trace[-1]) < 1e-6
     assert report.max_field < 0.05
@@ -210,7 +201,7 @@ def test_weak_coupling_relaxes_to_flat():
 def test_converged_residuals_sit_under_ten_grad_tol():
     spec = GridSpec(32)
     config = MinimizeConfig()
-    report = minimize((2 * PI, 3 * PI), spec, init=random_init(spec, 7),
+    report = minimize((2 * PI, 3 * PI), spec, init=random_pair(spec, 7),
                       config=config)
     assert report.status == "Converged"
     assert all(r < 10 * config.grad_tol for r in report.el_residuals)
@@ -219,7 +210,7 @@ def test_converged_residuals_sit_under_ten_grad_tol():
 def test_budget_status_when_iterations_run_out():
     spec = GridSpec(32)
     config = MinimizeConfig(max_iters=1)
-    report = minimize((3 * PI, 3 * PI), spec, init=random_init(spec, 5),
+    report = minimize((3 * PI, 3 * PI), spec, init=random_pair(spec, 5),
                       config=config)
     assert report.status == "Budget"
     assert report.iterations == 1
@@ -233,7 +224,7 @@ def test_descent_starts_at_functional_energy(n):
     m = (3 * PI, 2 * PI)
     init = MultiField(
         tuple(ScalarField(spec, f.values + c)
-              for f, c in zip(random_init(spec, n).components, (0.4, -1.3)))
+              for f, c in zip(random_pair(spec, n).components, (0.4, -1.3)))
     )
     report = minimize(m, spec, init=init, config=MinimizeConfig(max_iters=1))
     assert report.energy_trace[0] == pytest.approx(energy(init, m).total, rel=1e-12)
@@ -279,7 +270,7 @@ def test_rank_three_random_starts_end_below_the_flat_state(n, seed):
 
 def test_gauge_shift_of_init_changes_nothing():
     spec = GridSpec(32)
-    base = random_init(spec, 19)
+    base = random_pair(spec, 19)
     shifted = MultiField(
         tuple(
             ScalarField(spec, f.values + c)
@@ -400,10 +391,33 @@ def test_descent_stops_at_the_roundoff_floor_within_its_budget(m, n, seed):
     # direction descends (the last), long before its budget
     config = MinimizeConfig(grad_tol=1e-300, max_iters=500, seed=seed)
     report = minimize(m, GridSpec(n), config=config)
-    assert report.status == "Budget"
+    assert report.status == "Stalled"
     assert report.iterations < config.max_iters
     trace = report.energy_trace
     assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+def test_a_stalled_seed_leaves_its_cell_inconclusive():
+    # no gradient meets this tolerance, so no seed converges and the
+    # first one stops at the floating-point floor
+    config = MinimizeConfig(grad_tol=1e-300, max_iters=500)
+    status, report = _classify((3 * PI, 2 * PI), GridSpec(16), config)
+    assert (status, report.status) == ("Inconclusive", "Stalled")
+
+
+@pytest.mark.parametrize(
+    "config, status",
+    [
+        (MinimizeConfig(max_iters=1), "Budget"),
+        (MinimizeConfig(), "Converged"),
+        (MinimizeConfig(grad_tol=1e-300, max_iters=500), "Stalled"),
+    ],
+)
+def test_iterations_count_the_steps_of_the_energy_trace(config, status):
+    report = minimize((3 * PI, 2 * PI), GridSpec(16), config=config)
+    assert report.status == status
+    assert report.iterations == len(report.energy_trace) - 1
+    assert report.to_dict()["iterations"] == report.iterations
 
 
 @pytest.mark.parametrize(
@@ -436,7 +450,7 @@ def test_detector_skipped_while_no_disk_can_reach_the_threshold(monkeypatch):
     # a rough start relaxes through a large drop with its density spread out
     spec = GridSpec(32)
     report, calls, expected = descend_counting_detector(
-        monkeypatch, (3 * PI, 3 * PI), spec, random_init(spec, 1, amplitude=4.0)
+        monkeypatch, (3 * PI, 3 * PI), spec, random_pair(spec, 1, amplitude=4.0)
     )
     assert report.status == "Converged"
     assert calls == expected
@@ -523,7 +537,7 @@ def test_non_descent_direction_restarts_with_the_preconditioned_step(monkeypatch
     monkeypatch.setattr(minimizer._History, "direction", uphill)
     monkeypatch.setattr(minimizer, "_mix", record)
     spec = GridSpec(16)
-    report = minimize((3 * PI, 3 * PI), spec, init=random_init(spec, 3))
+    report = minimize((3 * PI, 3 * PI), spec, init=random_pair(spec, 3))
     assert report.status == "Converged"
     assert forced
     for k, (_, plain) in enumerate(forced, start=1):
@@ -671,7 +685,7 @@ def test_extreme_couplings_end_cleanly(m1, m2, seed, early_stop):
     # a grid-scale spike whose density underflows almost everywhere
     spec = GridSpec(16)
     drop = 14.0 if early_stop else 1e300
-    inits = [random_init(spec, seed)] + [
+    inits = [random_pair(spec, seed)] + [
         v_from_u(_bubble_seed(spec, scale, component))
         for scale, component in ((64.0, 0), (4.0, 1))
     ]
