@@ -38,25 +38,16 @@ _EXPORTS = {
             "MultiField",
             "energy",
             "energy_gradient",
-            "energy_u",
             "euler_lagrange_residuals",
-            "normalize_components",
             "precondition_gradient",
-            "u_from_v",
             "v_from_u",
         ),
         "grid": (
             "GridSpec",
             "ScalarField",
-            "dirichlet_pairing",
-            "disk_mass",
-            "integral",
             "inverse_laplacian",
             "laplacian",
-            "log_integral_exp",
-            "mean",
             "random_smooth_field",
-            "sample_function",
         ),
         "minimizer": (
             "MinimizeConfig",

@@ -1,4 +1,4 @@
-"""The coupled mean-field energy on the torus, in both parametrizations.
+"""The coupled mean-field energy on the torus and its gradient.
 
 The energy of a tuple v of potentials with coupling vector m is
 
@@ -21,8 +21,8 @@ with rho_j the normalized density exp(u_j) / int(exp(u_j)).
 one kernel, `evaluate`, built on the grid's spectral core.  Since E is
 invariant under adding a constant to any component, the kernel
 evaluates the zero-mean representative of v; its linear part is then
-zero up to roundoff.  `energy_u` keeps the u-form as an independent
-formula for the same number.
+zero up to roundoff.  The tests keep the u-form, `energy_u` in
+tests/helpers.py, as an independent formula for the same number.
 """
 
 from __future__ import annotations
@@ -42,22 +42,17 @@ from .grid import (
     _log_integral_exp,
     _neg_laplacian,
     _neglap_symbol,
-    dirichlet_pairing,
-    integral,
 )
 
 __all__ = [
     "MultiField",
     "EnergyBreakdown",
-    "u_from_v",
     "v_from_u",
     "energy",
-    "energy_u",
     "energy_gradient",
     "evaluate",
     "raw_gradient",
     "precondition_gradient",
-    "normalize_components",
     "euler_lagrange_residuals",
 ]
 
@@ -117,13 +112,8 @@ def _mix(
     return out
 
 
-def u_from_v(v: MultiField) -> MultiField:
-    """Apply the coupling matrix componentwise: u_i = sum_j a_ij v_j."""
-    return MultiField.from_array(v.spec, _mix(cartan_su(v.n_components), v.stack()))
-
-
 def v_from_u(u: MultiField) -> MultiField:
-    """Invert u_from_v using the exact closed-form inverse."""
+    """Recover v from u = A v through the exact closed-form inverse of A."""
     return MultiField.from_array(u.spec, _mix(cartan_su_inverse(u.n_components), u.stack()))
 
 
@@ -197,21 +187,6 @@ def energy(v: MultiField, m: Sequence[float]) -> EnergyBreakdown:
     return evaluate(v.stack(), mv).parts
 
 
-def energy_u(u: MultiField, m: Sequence[float]) -> EnergyBreakdown:
-    """Energy in the u-parametrization (quadratic part via the inverse matrix)."""
-    n = u.n_components
-    mv = _check_couplings(m, n)
-    inv = cartan_su_inverse(n)
-    pair = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            pair[i, j] = pair[j, i] = dirichlet_pairing(u.components[i], u.components[j])
-    quadratic = 0.5 * float(np.sum(inv * pair))
-    linear = float(sum(mv[i] * integral(u.components[i]) for i in range(n)))
-    entropy = -float(mv @ _log_integral_exp(u.stack()))
-    return EnergyBreakdown(quadratic, linear, entropy)
-
-
 def energy_gradient(v: MultiField, m: Sequence[float]) -> MultiField:
     """L2 gradient of the energy in v; each component has zero mean."""
     mv = _check_couplings(m, v.n_components)
@@ -230,13 +205,6 @@ def precondition_gradient(g: MultiField) -> MultiField:
     mixed = _mix(cartan_su_inverse(g.n_components), g.stack())
     means = mixed.mean(axis=(1, 2), keepdims=True)
     return MultiField.from_array(g.spec, _inverse_neg_laplacian(mixed) + means)
-
-
-def normalize_components(u: MultiField) -> MultiField:
-    """Shift each component so int(exp(u_i)) = 1."""
-    stacked = u.stack()
-    shifts = _log_integral_exp(stacked)[:, None, None]
-    return MultiField.from_array(u.spec, stacked - shifts)
 
 
 def _require_normalized(stacked: np.ndarray) -> None:

@@ -26,15 +26,9 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "ScalarField",
-    "sample_function",
     "random_smooth_field",
-    "integral",
-    "mean",
     "laplacian",
-    "dirichlet_pairing",
-    "log_integral_exp",
     "inverse_laplacian",
-    "disk_mass",
 ]
 
 
@@ -190,13 +184,6 @@ class ScalarField:
         object.__setattr__(self, "values", arr)
 
 
-def sample_function(spec: GridSpec, fn) -> ScalarField:
-    """Sample fn(x, y) at the grid points (vectorized over meshgrid arrays)."""
-    xs, ys = spec.coords()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return ScalarField(spec, fn(gx, gy))
-
-
 def random_smooth_field(
     spec: GridSpec, rng, k_max: int = 4, amplitude: float = 0.5
 ) -> ScalarField:
@@ -240,45 +227,19 @@ def random_smooth_field(
     return ScalarField(spec, vals)
 
 
-def _require_same_grid(f: ScalarField, g: ScalarField) -> None:
-    if f.spec != g.spec:
-        raise ValueError("grid mismatch")
-
-
-def integral(f: ScalarField) -> float:
-    """Integral over the torus, h^2 times the sample sum."""
-    return float(np.sum(f.values)) * f.spec.h**2
-
-
-def mean(f: ScalarField) -> float:
-    """Mean value; equals the integral since the torus has unit area."""
-    return float(np.mean(f.values))
-
-
 def laplacian(f: ScalarField) -> ScalarField:
     """Periodic Laplacian, eigenvalue -4 pi^2 |k|^2 on mode k."""
     return ScalarField(f.spec, -_neg_laplacian(f.values))
 
 
-def dirichlet_pairing(f: ScalarField, g: ScalarField) -> float:
-    """Energy pairing of gradients, int grad f . grad g = h^2 sum (f - mean f)(-lap g).
-
-    The mean drops out of the pairing; removing it from f as well keeps
-    a large constant from polluting the sum with roundoff.
-    """
-    _require_same_grid(f, g)
-    cross = _centered(f.values) * _neg_laplacian(g.values)
-    return float(np.sum(cross)) * f.spec.h**2
-
-
-def log_integral_exp(f: ScalarField) -> float:
-    """log of the integral of exp(f), max-shifted so it never overflows."""
-    return float(_log_integral_exp(f.values))
-
-
 def inverse_laplacian(f: ScalarField) -> ScalarField:
-    """Zero-mean solution g of -lap(g) = f; the source must have zero mean."""
-    if abs(mean(f)) >= 1e-10:
+    """Zero-mean solution g of -lap(g) = f; the source must have zero mean.
+
+    The mean counts as zero below 1e-10 or below 1e-12 max|f|, since the
+    roundoff of a large source's sum alone leaves a mean of that size.
+    """
+    offset = abs(np.mean(f.values))
+    if offset >= 1e-10 and offset >= 1e-12 * np.max(np.abs(f.values)):
         raise ValueError("incompatible source")
     return ScalarField(f.spec, _inverse_neg_laplacian(f.values))
 
@@ -306,11 +267,3 @@ def _disk_symbol(n: int, radius: float) -> np.ndarray:
     _apply_symbol it gives the disk mass around every cell."""
     mask = _disk_mask(GridSpec(n), (0.0, 0.0), radius)
     return _read_only(np.fft.rfft2(mask).real / n**2)
-
-
-def disk_mass(rho: ScalarField, center: tuple[float, float], radius: float) -> float:
-    """Mass of a nonnegative density inside a periodic disk (masked cell sum)."""
-    mask = _disk_mask(rho.spec, center, radius)
-    if np.min(rho.values) < 0:
-        raise ValueError("density must be nonnegative")
-    return float(np.sum(rho.values[mask])) * rho.spec.h**2

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_pair
+from helpers import energy_u, integral, random_pair, u_from_v
 from todalab.bubbles import (
     BubbleParams,
     asymptotic_slope_table,
@@ -28,11 +28,9 @@ from todalab.functional import (
     MultiField,
     energy,
     energy_gradient,
-    energy_u,
-    u_from_v,
     v_from_u,
 )
-from todalab.grid import GridSpec, ScalarField, integral
+from todalab.grid import GridSpec, ScalarField
 from todalab.minimizer import (
     MinimizeConfig,
     classify_boundedness,

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from helpers import energy_u
 from todalab.bubbles import (
     MAX_SCALE,
     BubbleParams,
@@ -18,7 +19,6 @@ from todalab.bubbles import (
 )
 from todalab.cartan import NumericalError
 from todalab.closed_form import radial_profile
-from todalab.functional import energy_u
 from todalab.grid import GridSpec
 
 

@@ -707,6 +707,29 @@ def test_each_public_name_has_one_home():
         assert name in importlib.import_module(f"todalab.{module}").__all__, (module, name)
 
 
+def test_readme_examples_run_and_print_what_their_comments_say():
+    import ast
+    import contextlib
+    import io
+    import re
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 2
+    printed = []
+    for block in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, {})
+        printed.append(out.getvalue().splitlines())
+    quick, radial = printed
+    assert quick[-1] == "Unbounded"
+    masses = ast.literal_eval(radial[0])
+    assert masses == pytest.approx((8 * math.pi, 8 * math.pi), rel=1e-3)
+    assert float(radial[2]) < 1e-8  # integrated against exact profile
+
+
 @pytest.mark.parametrize(
     "payload",
     [

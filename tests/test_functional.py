@@ -4,29 +4,28 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from helpers import random_pair
+from helpers import (
+    dirichlet_pairing,
+    energy_u,
+    integral,
+    log_integral_exp,
+    normalize_components,
+    random_pair,
+    sample_function,
+    u_from_v,
+)
 from todalab.cartan import cartan_su
 from todalab.functional import (
     MultiField,
     _mix,
     energy,
     energy_gradient,
-    energy_u,
     euler_lagrange_residuals,
-    normalize_components,
     precondition_gradient,
     raw_gradient,
-    u_from_v,
     v_from_u,
 )
-from todalab.grid import (
-    GridSpec,
-    ScalarField,
-    dirichlet_pairing,
-    integral,
-    random_smooth_field,
-    sample_function,
-)
+from todalab.grid import GridSpec, ScalarField, random_smooth_field
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -332,7 +331,6 @@ def test_normalize_components():
     spec = GridSpec(32)
     raw = random_pair(spec, 71, amplitude=1.5)
     u = normalize_components(raw)
-    from todalab.grid import log_integral_exp
 
     for c in u.components:
         assert abs(log_integral_exp(c)) < 1e-12

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import random_pair
+from helpers import disk_mass, log_integral_exp, random_pair, sample_function
 from todalab.bubbles import BubbleParams, standard_bubble
 from todalab.cartan import NumericalError, cartan_su, cartan_su_inverse
 from todalab.functional import (
@@ -33,10 +33,7 @@ from todalab.grid import (
     _inverse_neg_laplacian,
     _neg_laplacian,
     _periodic_dist_sq,
-    disk_mass,
-    log_integral_exp,
     random_smooth_field,
-    sample_function,
 )
 import todalab.minimizer as minimizer
 from todalab.minimizer import (

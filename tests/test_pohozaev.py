@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import log_integral_exp
 from todalab.bubbles import BubbleParams, standard_bubble
 from todalab.cartan import cartan_su
 from todalab.functional import MultiField
-from todalab.grid import GridSpec, ScalarField, log_integral_exp
+from todalab.grid import GridSpec, ScalarField
 import todalab.pohozaev as pohozaev
 from todalab.minimizer import MinimizeConfig, minimize
 from todalab.pohozaev import (

@@ -123,3 +123,32 @@ def test_minimize_takes_the_descent_config_fourth():
 
     params = list(inspect.signature(minimizer.minimize).parameters)
     assert params[3] == "config"
+
+
+def test_tracer_kernel_calls_run(monkeypatch):
+    # kernel_timings and traced_run's detector timing call todalab
+    # kernels that otherwise run only in a traced benchmark; one call
+    # each on a 16-cell grid shows their signatures still fit
+    tracing = _tracing(monkeypatch)
+    from todalab import GridSpec, MinimizeConfig, detect_concentration, minimize
+
+    calls = []
+
+    def once(fn):
+        calls.append(fn())
+        return 0.0
+
+    monkeypatch.setattr(tracing, "_median_ms", once)
+    monkeypatch.setattr(tracing, "MICRO_GRID_SIZES", (16,))
+    timings = tracing.kernel_timings()
+    assert sorted(timings) == sorted(
+        f"{name}_ms.n16"
+        for name in ("functional.energy", "functional.gradient",
+                     "grid.laplacian", "grid.inverse_laplacian")
+    )
+    assert len(calls) == 4
+    config = MinimizeConfig(max_iters=3)
+    report = minimize((3 * math.pi, 3 * math.pi), GridSpec(16), config=config)
+    spots = detect_concentration(report.final_u, MinimizeConfig().concentration_radius)
+    assert len(spots) == report.final_u.n_components
+    assert all(0 < spot.mass <= 1 + 1e-12 for spot in spots)
