@@ -179,7 +179,6 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("max-iters", parse_int, "2000", "descent iteration budget"),
         Option("grad-tol", parse_float, "1e-6", "stationarity tolerance"),
         Option("seed", parse_int, "0", "rng seed for the smooth start"),
-        Option("summary-only", parse_bool, "false", "omit field arrays from report.json"),
     ),
     "sweep": (
         Option("m-grid", parse_grid_shape, "9x9", "coupling grid shape, e.g. 9x9"),
@@ -339,38 +338,8 @@ def _precheck(config: RunConfig) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
-
-    The standard encoder runs in pure Python whenever indent is set.  Here
-    only the nesting is laid out in Python: each list of numbers (the
-    field rows of a report) goes through the C encoder, with the line
-    break and the indent folded into its item separator.
-    """
-
-    def chunks(value, pad: str):
-        inner = pad + "  "
-        if isinstance(value, dict) and value:
-            yield "{"
-            for i, (key, item) in enumerate(sorted(value.items())):
-                name = key if isinstance(key, str) else json.dumps(key)
-                yield f"{',' if i else ''}\n{inner}{json.dumps(name)}: "
-                yield from chunks(item, inner)
-            yield f"\n{pad}}}"
-        elif isinstance(value, (list, tuple)) and value:
-            if all(isinstance(x, (int, float)) for x in value):
-                row = json.dumps(value, separators=(",\n" + inner, ": "))
-                yield f"[\n{inner}{row[1:-1]}\n{pad}]"
-                return
-            for i, item in enumerate(value):
-                yield f"{',' if i else '['}\n{inner}"
-                yield from chunks(item, inner)
-            yield f"\n{pad}]"
-        else:
-            yield json.dumps(value)
-
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(chunks(payload, ""))
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(config: RunConfig, wall_time: float) -> None:
@@ -385,13 +354,18 @@ def _write_manifest(config: RunConfig, wall_time: float) -> None:
 
 
 def _run_minimize(config: RunConfig) -> int:
+    import numpy as np
+
     GridSpec, minimize = _callees("GridSpec", "minimize")
     spec = GridSpec(config.n)
     report = minimize(config.couplings, spec, config=_minimize_config(config))
-    payload = report.to_dict(include_fields=not config.values["summary_only"])
+    payload = report.to_dict(include_fields=False)
     payload["m"] = list(config.couplings)
     payload["n"] = config.n
     _write_json(os.path.join(config.out, "report.json"), payload)
+    # binary, since formatting 131,072 floats as JSON text at n = 256 took
+    # longer than the descent itself
+    np.save(os.path.join(config.out, "final_u.npy"), report.final_u.stack())
     return 0
 
 

@@ -148,8 +148,10 @@ class MinimizeConfig:
     # energy drop and disk
     step: ClassVar[float] = 1.0
     # calibrated on the 64-cell grid: relaxing starts at couplings just
-    # below threshold never drop more than ~10 while concentrated, and
-    # every coupling past threshold has a seed dropping at least ~19
+    # below threshold never drop more than ~10 while concentrated.  Past
+    # threshold the margin is thin: at m2 = 3pi, m1 = 4.1pi and 4.2pi are
+    # called Bounded, and at 4.3pi the deciding run drops only 14.16 after
+    # 8 iterations (ROADMAP item 1 replaces this drop with an energy ladder)
     divergence_energy_drop: ClassVar[float] = 14.0
     concentration_radius: ClassVar[float] = 0.05
     concentration_mass: ClassVar[float] = 0.9

@@ -244,7 +244,9 @@ def test_criterion_11_determinism_of_data_files(tmp_path):
         assert main(
             ["minimize", "--m", "3.0pi,3.0pi", "--n", "64", "--out", str(out)]
         ) == 0
-        reports.append((out / "report.json").read_bytes())
+        reports.append(
+            [(out / file).read_bytes() for file in ("report.json", "final_u.npy")]
+        )
     assert reports[0] == reports[1]
     # criterion 4 data: the classification row at the blow-up coupling
     spec = GridSpec(64)

@@ -65,7 +65,12 @@ def test_minimize_writes_report_and_manifest(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "Converged"
-    assert len(report["final_u"]) == 2
+    assert "final_u" not in report
+    final_u = np.load(out / "final_u.npy")
+    assert final_u.shape == (2, 32, 32)
+    assert final_u.dtype == np.float64
+    again = todalab.minimize(parse_couplings("3.0pi,3.0pi"), todalab.GridSpec(32))
+    assert final_u.tobytes() == again.final_u.stack().tobytes()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "minimize"
     assert manifest["config"]["m"] == "3.0pi,3.0pi"
@@ -74,13 +79,18 @@ def test_minimize_writes_report_and_manifest(tmp_path):
     assert "timestamp" in manifest
 
 
-def test_summary_only_drops_field_arrays(tmp_path):
-    code, out = run(
-        tmp_path, "minimize", "--n", "32", "--summary-only", "true"
-    )
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert "final_u" not in report
+def test_summary_only_is_no_longer_an_option(tmp_path, capsys):
+    # the field arrays always go to final_u.npy, so there is nothing to omit
+    code, out = run(tmp_path, "minimize", "--n", "32", "--summary-only", "true")
+    assert code == 2
+    assert not out.exists()
+    capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("summary-only = true\n")
+    code, out = run(tmp_path, "minimize", "--n", "32", "--config", str(cfg))
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown config key: summary-only\n"
+    assert not out.exists()
 
 
 def test_a_descent_at_the_floating_point_floor_reports_stalled(tmp_path):
@@ -88,7 +98,7 @@ def test_a_descent_at_the_floating_point_floor_reports_stalled(tmp_path):
     # steps, where no direction descends, not at its budget
     code, out = run(
         tmp_path, "minimize", "--m", "1e-8,1e-8", "--n", "8", "--grad-tol", "1e-300",
-        "--max-iters", "500", "--summary-only", "true",
+        "--max-iters", "500",
     )
     assert code == 0
     report = json.loads((out / "report.json").read_text())
@@ -394,7 +404,7 @@ def test_bad_settings_exit_2_before_compute(tmp_path, capsys, args, message):
         (("radial", "--r-max", "far"), "cannot parse number 'far'"),
         (("radial", "--a0", "0,x"), "cannot parse number 'x'"),
         (("pohozaev", "--center", "0.5"), "expected exactly two comma-separated numbers"),
-        (("minimize", "--summary-only", "maybe"), "cannot parse boolean 'maybe'"),
+        (("identities", "--corrupt-cartan", "maybe"), "cannot parse boolean 'maybe'"),
         (("identities", "--only", "some"), "expected one of all, bubble, radial; got 'some'"),
         (("sweep", "--m-grid", "1001x9"), "grid shape must be at most 1000 per axis"),
     ],

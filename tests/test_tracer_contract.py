@@ -9,6 +9,7 @@ one short command through them and put the originals back.
 import ast
 import importlib
 import inspect
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -44,7 +45,7 @@ def test_tracer_wrappers_install_run_and_restore(monkeypatch, tmp_path):
         assert seen.radial == {"converged": 5}
         radial.integrate_radial((0.0, 0.0), r_max=10.0)
         out = tmp_path / "minimize"
-        argv = ["minimize", "--n", "16", "--max-iters", "3", "--summary-only", "true"]
+        argv = ["minimize", "--n", "16", "--max-iters", "3"]
         assert cli.main([*argv, "--out", str(out)]) == 0
     finally:
         for module, name, original in originals:
@@ -152,3 +153,27 @@ def test_tracer_kernel_calls_run(monkeypatch):
     spots = detect_concentration(report.final_u, MinimizeConfig().concentration_radius)
     assert len(spots) == report.final_u.n_components
     assert all(0 < spot.mass <= 1 + 1e-12 for spot in spots)
+
+
+def test_tracer_report_write_replay_runs(monkeypatch, tmp_path):
+    # cli.report_write_s replays minimize's report write through
+    # MinimizeReport.to_dict(include_fields=True), which no command calls
+    # any more; only a traced benchmark run reaches it otherwise
+    import numpy as np
+    from todalab import GridSpec, MinimizeConfig, minimize
+
+    tracing = _tracing(monkeypatch)
+    path = tmp_path / "replay.json"
+    written = []
+
+    def once(fn, **kwargs):
+        fn()
+        written.append(json.loads(path.read_text(encoding="utf-8")))
+        return 1.0
+
+    monkeypatch.setattr(tracing, "_median_ms", once)
+    config = MinimizeConfig(max_iters=3)
+    report = minimize((3 * math.pi, 3 * math.pi), GridSpec(16), config=config)
+    assert tracing._report_write_s(report, path) == 1e-3
+    assert len(written) == 1 and not path.exists()
+    assert np.array_equal(np.array(written[0]["final_u"]), report.final_u.stack())
